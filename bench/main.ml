@@ -235,10 +235,10 @@ let section_p1 () =
   let variants =
     [
       ("serial", `Serial);
-      ("naive-SR", `Config Baseline.naive_sr_config);
-      ("conservative", `Config Baseline.conservative_config);
-      ("deferred (paper)", `Config Baseline.deferred_config);
-      ("quasi (fig 9)", `Config Baseline.quasi_config);
+      ("naive-SR", `Config { Scheduler.default_config with naive_sr = true });
+      ("conservative", `Config { Scheduler.default_config with mode = Scheduler.Conservative });
+      ("deferred (paper)", `Config { Scheduler.default_config with mode = Scheduler.Deferred });
+      ("quasi (fig 9)", `Config { Scheduler.default_config with mode = Scheduler.Quasi });
     ]
   in
   let densities = [ 0.05; 0.15; 0.3; 0.5 ] in
@@ -312,9 +312,9 @@ let section_p2 () =
               f1 (avg (fun r -> float_of_int (Metrics.count r.m "admission_delays")) results);
             ])
           [
-            ("conservative", Baseline.conservative_config);
-            ("deferred", Baseline.deferred_config);
-            ("quasi", Baseline.quasi_config);
+            ("conservative", { Scheduler.default_config with mode = Scheduler.Conservative });
+            ("deferred", { Scheduler.default_config with mode = Scheduler.Deferred });
+            ("quasi", { Scheduler.default_config with mode = Scheduler.Quasi });
           ])
       [ 0.1; 0.3; 0.6 ]
   in
@@ -349,15 +349,17 @@ let section_p3 () =
               name;
               f1 (avg (fun r -> r.makespan) results);
               f1 (avg (fun r -> float_of_int (Metrics.count r.m "weak_commit_waits")) results);
-              f1 (avg (fun r -> float_of_int (Metrics.count r.m "weak_restarts")) results);
+              f1 (avg (fun r -> float_of_int (Metrics.count r.m "local_restarts")) results);
             ])
           [
             ("strong", Scheduler.default_config);
-            ("weak", Baseline.weak_order_config);
+            ("weak", { Scheduler.default_config with order = Scheduler.Weak });
           ])
       [ (0.2, 0.0); (0.5, 0.0); (0.8, 0.0); (0.5, 0.2) ]
   in
-  print_table [ "conflicts"; "failures"; "order"; "makespan"; "commit waits"; "restarts" ] rows;
+  print_table
+    [ "conflicts"; "failures"; "order"; "makespan"; "commit waits"; "local restarts" ]
+    rows;
   Format.printf "@.shape: the weak order overlaps conflicting executions, cutting the@.";
   Format.printf "makespan; the subsystem enforces the commit order instead.@."
 
@@ -678,8 +680,9 @@ let section_p10 () =
                      protocol (inquiry after 1 t.u.) has something to beat *)
                   let config =
                     {
-                      Baseline.deferred_config with
-                      Scheduler.seed;
+                      Scheduler.default_config with
+                      mode = Scheduler.Deferred;
+                      seed;
                       twopc_retransmit = 4.0;
                       twopc_inquiry = inquiry;
                     }
@@ -2481,8 +2484,7 @@ let p18_classical ~kind ~label ~density ~seed ~n =
     e_restarts = r.Baseline.restarts;
   }
 
-let p18_weak_config =
-  { Scheduler.default_config with weak_order = true; order_enforcement = true }
+let p18_weak_config = { Scheduler.default_config with order = Scheduler.Weak }
 
 let p18_row p =
   [

@@ -122,7 +122,8 @@ let run_random n conflict_density fail_rate mode weak trace seed =
   let params = { Generator.default_params with conflict_density } in
   let rms = Generator.rms params ~fail_prob:(fun _ -> fail_rate) ~seed () in
   let spec = Generator.spec params in
-  let config = { Scheduler.default_config with mode; weak_order = weak; seed } in
+  let order = if weak then Scheduler.Weak else Scheduler.Strong in
+  let config = { Scheduler.default_config with mode; order; seed } in
   let tracer =
     (* compat form of the old global trace flag: pretty-print every event
        to stderr (equivalent to TPM_TRACE=1) *)

@@ -14,12 +14,6 @@ let serial_makespan ~make_rms ~spec ?(config = Scheduler.default_config)
       total +. Scheduler.now t)
     0.0 procs
 
-let naive_sr_config = { Scheduler.default_config with naive_sr = true }
-let conservative_config = { Scheduler.default_config with mode = Scheduler.Conservative }
-let deferred_config = { Scheduler.default_config with mode = Scheduler.Deferred }
-let quasi_config = { Scheduler.default_config with mode = Scheduler.Quasi }
-let weak_order_config = { Scheduler.default_config with weak_order = true }
-
 (* ------------------------------------------------------------------ *)
 (* Classical activity schedulers over the same Rm substrate.
 

@@ -3,18 +3,16 @@
     - {!serial_makespan} — strictly serial execution: every process runs
       alone; the makespan is the sum of the individual makespans.  The
       lower bound on safety, the upper bound on time.
-    - {!naive_sr_config} — classical serializability-only scheduling
-      (Section 1's "analyzing concurrency control without considering
-      recovery"): fast, but its histories may be unrecoverable; the
-      benchmarks count the PRED violations it produces.
-    - {!conservative_config} — Lemma 1 applied by delaying (no deferred
-      2PC commits).
     - {!run} — real classical activity schedulers (strict 2PL with
       deadlock detection and victim abort; timestamp ordering with
       wts/rts validation aborts) over the same {!Tpm_subsys.Rm}
       substrate, treating a whole process as one transaction.  Both
       record per-subsystem local schedules for differential checking
-      against {!Tpm_composite.Local.commit_order_serializable}. *)
+      against {!Tpm_composite.Local.commit_order_serializable}.
+
+    The scheduler's own comparators (serializability-only scheduling,
+    conservative Lemma-1 delays) are plain {!Tpm_scheduler.Scheduler.config}
+    settings: [naive_sr] and [mode]. *)
 
 val serial_makespan :
   make_rms:(unit -> Tpm_subsys.Rm.t list) ->
@@ -25,12 +23,6 @@ val serial_makespan :
   float
 (** Runs every process in its own scheduler over fresh resource managers
     and sums the makespans. *)
-
-val naive_sr_config : Tpm_scheduler.Scheduler.config
-val conservative_config : Tpm_scheduler.Scheduler.config
-val deferred_config : Tpm_scheduler.Scheduler.config
-val quasi_config : Tpm_scheduler.Scheduler.config
-val weak_order_config : Tpm_scheduler.Scheduler.config
 
 (** Which classical protocol {!run} schedules with. *)
 type kind =

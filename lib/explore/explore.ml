@@ -19,6 +19,7 @@ type scenario = {
   submit_at : int -> float;
   config : Scheduler.config;
   crash_explore : bool;
+  instrument : Scheduler.t -> unit;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -112,6 +113,7 @@ let lemma1 =
         service_time = (fun s -> if s = "bill" then 0.4 else 1.0);
       };
     crash_explore = false;
+    instrument = ignore;
   }
 
 let lemma1_mut =
@@ -119,7 +121,7 @@ let lemma1_mut =
     lemma1 with
     name = "lemma1-mut";
     descr = "lemma1 with the Lemma-1 gate disabled (must violate PRED)";
-    config = { lemma1.config with debug_no_lemma1 = true };
+    instrument = Scheduler.disable_lemma1;
   }
 
 let twopc3_registry () =
@@ -186,6 +188,7 @@ let twopc3 =
         service_time = (fun s -> if s = "chk" then 6.0 else 1.0);
       };
     crash_explore = false;
+    instrument = ignore;
   }
 
 let twopc3_crash =
@@ -264,11 +267,11 @@ let weakabort =
       {
         Scheduler.default_config with
         seed = 7;
-        weak_order = true;
-        order_enforcement = true;
+        order = Scheduler.Weak;
         service_time = (fun s -> if s = "resv" then 2.0 else if s = "bill" then 0.4 else 1.0);
       };
     crash_explore = false;
+    instrument = ignore;
   }
 
 let weakindoubt_registry () =
@@ -344,11 +347,11 @@ let weakindoubt =
       {
         Scheduler.default_config with
         seed = 13;
-        weak_order = true;
-        order_enforcement = true;
+        order = Scheduler.Weak;
         service_time = (fun s -> if s = "chk" then 6.0 else 1.0);
       };
     crash_explore = false;
+    instrument = ignore;
   }
 
 let weakindoubt_crash =
@@ -498,6 +501,7 @@ and run_raw scenario ~script =
     Scheduler.create ~config:scenario.config ~faults ~choice ~tracer
       ~spec:scenario.spec ~rms ()
   in
+  scenario.instrument t;
   Choice.set_fingerprinter choice (fun () -> Scheduler.state_fingerprint t);
   List.iteri (fun i p -> Scheduler.submit t ~at:(scenario.submit_at i) p) scenario.procs;
   Scheduler.run ~until:horizon t;
@@ -516,6 +520,7 @@ and run_raw scenario ~script =
           check (Printf.sprintf "recovery failed: %s" e) false;
           None
       | Ok t2 ->
+          scenario.instrument t2;
           Scheduler.run ~until:horizon t2;
           (* presumed-abort soundness: decisions durable before the crash
              must survive it *)

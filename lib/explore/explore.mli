@@ -43,6 +43,9 @@ type scenario = {
   config : Tpm_scheduler.Scheduler.config;
   crash_explore : bool;
       (** offer a crash choice point after every WAL append *)
+  instrument : Tpm_scheduler.Scheduler.t -> unit;
+      (** applied to every scheduler the branch creates, recovered ones
+          included, before it runs: the place for test-only hooks *)
 }
 
 val scenarios : scenario list
@@ -52,7 +55,7 @@ val scenarios : scenario list
       process's own pivot failable.  Lemma 1 defers the second pivot's
       commit; every interleaving satisfies every oracle.
     - ["lemma1-mut"]: the same with the
-      {!Tpm_scheduler.Scheduler.config.debug_no_lemma1} mutation: the
+      {!Tpm_scheduler.Scheduler.disable_lemma1} mutation: the
       pivot commits immediately and the explorer must find the branch
       where the first process aborts and compensates {e after} it — the
       PRED violation of figure 1 (the mutation self-test).
@@ -61,7 +64,11 @@ val scenarios : scenario list
       branching.
     - ["twopc3-crash"]: ["twopc3"] with systematic crash placement after
       every WAL append, each crash followed by recovery and the
-      post-crash oracles. *)
+      post-crash oracles.
+    - ["weak-abort"], ["weak-indoubt"], ["weak-indoubt-crash"]: the
+      [Weak] order racing a group abort and in-doubt 2PC pivots (the
+      last with crash placement); every branch must also keep the
+      subsystem-local schedules commit-order serializable. *)
 
 val find_scenario : string -> scenario option
 

@@ -48,6 +48,10 @@ type admission_engine =
       (* run both on every admission and fail loudly unless the decisions
          (and recorded dependency edges) are bit-identical *)
 
+type order =
+  | Strong
+  | Weak
+
 type config = {
   mode : mode;
   exact_admission : bool;
@@ -61,20 +65,14 @@ type config = {
          recovery — no Lemma-1 gating of non-compensatable activities and
          no anticipation of completion conflicts.  Exhibits exactly the
          figure-1 anomaly; used by the benchmarks as a comparator. *)
-  weak_order : bool;
-      (* Section 3.6: conflicting activities of different processes may
-         execute overlapping in their subsystem as long as their commit
-         order follows the intended (weak) order; a retriable re-invocation
-         restarts the dependent local transaction *)
-  order_enforcement : bool;
-      (* Section 3.6, enforced end to end: route the prescribed weak order
-         through per-subsystem local executors ({!Tpm_composite.Enforce})
-         that hold each local commit until every prescribed predecessor's
-         local transaction committed, and restart the dependent local
-         transactions when a predecessor aborts.  Also lets dependents
-         overlap *prepared* (2PC-pending) predecessors — the admission
-         edges order them instead.  Only meaningful with [weak_order];
-         off by default. *)
+  order : order;
+      (* Section 3.6: [Strong] executes conflicting activities of
+         different processes one after the other; [Weak] lets them
+         overlap in their subsystem (in flight or prepared) and routes the
+         prescribed commit order through per-subsystem local executors
+         ({!Tpm_composite.Enforce}) that hold each local commit until every
+         prescribed predecessor's local transaction committed, and restart
+         the dependent local transactions when a predecessor aborts *)
   seed : int;
   service_time : string -> float;
   stochastic_times : bool;
@@ -105,12 +103,6 @@ type config = {
          [w]-long batch window; [No_sync] never fsyncs.  Irrelevant
          without [wal_path]. *)
   wal_segment_bytes : int;  (* segment roll size of the mirrored log *)
-  debug_no_lemma1 : bool;
-      (* MUTATION FLAG, tests only: skip the Lemma-1 gating of
-         non-compensatable activities entirely (commit them immediately
-         even with uncommitted conflicting predecessors).  Exists to prove
-         the explorer finds the resulting PRED violation; never set it in
-         real configurations. *)
 }
 
 let default_config =
@@ -118,8 +110,7 @@ let default_config =
     mode = Deferred;
     exact_admission = false;
     naive_sr = false;
-    weak_order = false;
-    order_enforcement = false;
+    order = Strong;
     seed = 1;
     service_time = (fun _ -> 1.0);
     stochastic_times = false;
@@ -132,7 +123,6 @@ let default_config =
     admission_clock = None;
     wal_sync = Wal.Sync_each;
     wal_segment_bytes = 1 lsl 20;
-    debug_no_lemma1 = false;
   }
 
 type phase =
@@ -189,9 +179,6 @@ type pstate = {
   mutable pending_completion : Activity.instance list;
   mutable resume_exec : Execution.t option;  (* for branch-switch rollbacks *)
   mutable completion_cache : (bool * string) list option;  (* C(P) services (is_inverse, name), invalidated on exec change *)
-  mutable weak_wait : (int * int * int) option;
-      (* weakly ordered behind (process, activity, attempts seen): our local
-         commit must follow theirs *)
   mutable aborting : bool;
   mutable term : Schedule.status;  (* meaningful once phase = Done *)
   mutable arrived : float;
@@ -271,9 +258,9 @@ type t = {
   metrics : Metrics.t;
   attempts : (int * int, int) Hashtbl.t;
   enforce : Enforce.t option;
-      (* the Section-3.6 enforcement layer, present iff
-         [weak_order && order_enforcement]: per-subsystem local executors
-         holding local commits to the prescribed weak order *)
+      (* the Section-3.6 enforcement layer, present iff [order = Weak]:
+         per-subsystem local executors holding local commits to the
+         prescribed weak order *)
   enf_how : (int, [ `Invoke | `Prepare ]) Hashtbl.t;
       (* dispatch mode per token, for re-invocation after a weak-order
          restart *)
@@ -291,6 +278,7 @@ type t = {
       (* availability feedback for the serving layer's circuit breakers:
          [ok:false] on Unavailable / invocation timeout, [ok:true] on a
          successful subsystem answer *)
+  mutable no_lemma1 : bool;  (* mutation hook, tests only: see [disable_lemma1] *)
 }
 
 let tracer t = t.obs
@@ -509,9 +497,7 @@ let create ?(config = default_config) ?(faults = Faults.none)
     rev_events = [];
     metrics;
     attempts = Hashtbl.create 64;
-    enforce =
-      (if config.weak_order && config.order_enforcement then Some (Enforce.create ())
-       else None);
+    enforce = (match config.order with Weak -> Some (Enforce.create ()) | Strong -> None);
     enf_how = Hashtbl.create 32;
     rollback_queue = [];
     rollback_running = false;
@@ -522,6 +508,7 @@ let create ?(config = default_config) ?(faults = Faults.none)
     ckpt_seq = 0;
     obs;
     subsys_observer = None;
+    no_lemma1 = false;
   }
 
 let now t = Des.now t.sim
@@ -670,7 +657,7 @@ let history t = t.hist
 let serialization_order t = Deps.order t.deps
 
 (* the enforcement layer's live per-subsystem local schedules (empty
-   without [order_enforcement]) — what the composite checkers consume *)
+   under the strong order) — what the composite checkers consume *)
 let local_histories t =
   match t.enforce with Some e -> Enforce.locals e | None -> []
 
@@ -785,21 +772,19 @@ let placed_act ps =
 let inflight_sid ps = Option.map (Hashtbl.find ps.svc_ids) ps.inflight
 let prepared_sid ps = Option.map (Hashtbl.find ps.svc_ids) (placed_act ps)
 
-let enforcing t = t.enforce <> None
+(* does the conflict row meet the process's in-flight or prepared
+   activity?  One bit probe each. *)
+let placed_conflicts_bits ps ~row =
+  (match inflight_sid ps with Some k -> Bitset.mem row k | None -> false)
+  || match prepared_sid ps with Some k -> Bitset.mem row k | None -> false
 
-(* busy test against the candidate's conflict row: one bit probe per
-   in-flight / prepared activity, one intersection for the pending set *)
+(* busy test against the candidate's conflict row.  Under the weak order
+   (Section 3.6) a conflicting in-flight or prepared (2PC-pending)
+   activity does not block: the enforcement layer holds the dependent's
+   local commit behind it instead.  Pending completions always block. *)
 let busy_conflicts_bits t ps ~row =
-  (* under the weak order (Section 3.6) a conflicting in-flight invocation
-     does not block: the subsystem orders the commits instead.  With the
-     enforcement layer on, a *prepared* (2PC-pending) activity does not
-     block either — the dependent's local commit is held behind the
-     prepared token's decision by the enforcer. *)
-  ((not t.cfg.weak_order)
-  && match inflight_sid ps with Some k -> Bitset.mem row k | None -> false)
-  || Bitset.inter_nonempty row ps.pending_bits
-  || ((not (enforcing t))
-     && match prepared_sid ps with Some k -> Bitset.mem row k | None -> false)
+  Bitset.inter_nonempty row ps.pending_bits
+  || (t.cfg.order = Strong && placed_conflicts_bits ps ~row)
 
 (* Exact conflict-pair footprint of a service for the enforcement-layer
    Local histories: one shared item per conflicting service pair (the
@@ -875,7 +860,10 @@ let potential_completion ps =
    forward-recoverable and its possible completion does not conflict with
    anything this process may still execute.  The candidate's closure is
    unioned into the future closure; each predecessor then costs one bit
-   probe per completion service. *)
+   probe per completion service.  Under the weak order a predecessor's
+   conflicting in-flight or prepared activity also disqualifies it: once
+   executed, its compensation joins a completion that was computed
+   without it. *)
 let quasi_ok_bits t preds ~row ps =
   let my_conf = t.scratch in
   Bitset.assign ~into:my_conf (future_of t ps).f_conf;
@@ -888,7 +876,8 @@ let quasi_ok_bits t preds ~row ps =
           Execution.recovery_state qs.exec = Execution.F_rec
           && (not
                 (List.exists (fun (_, s) -> Bitset.mem my_conf (sid t s)) (potential_completion qs)))
-          && not (Bitset.inter_nonempty my_conf qs.pending_bits))
+          && (not (Bitset.inter_nonempty my_conf qs.pending_bits))
+          && not (t.cfg.order = Weak && placed_conflicts_bits qs ~row:my_conf))
     preds
 
 (* ------------------------------------------------------------------ *)
@@ -1256,10 +1245,7 @@ let admission_decision t pid act =
             if
               ((live q || q.term = Schedule.Committed)
               && Bitset.inter_nonempty crow q.occ_bits)
-              || (t.cfg.weak_order && live q
-                 && match inflight_sid q with Some k -> Bitset.mem crow k | None -> false)
-              || (enforcing t && live q
-                 && match prepared_sid q with Some k -> Bitset.mem crow k | None -> false)
+              || (t.cfg.order = Weak && live q && placed_conflicts_bits q ~row:crow)
             then Some (qid, pid)
             else None)
           others
@@ -1324,7 +1310,7 @@ let admission_decision t pid act =
     else if t.cfg.naive_sr then
       (* serializability-only: admit immediately, never gate on recovery *)
       (Admit_invoke, new_edges, admit_reason ())
-    else if Activity.non_compensatable a && not t.cfg.debug_no_lemma1 then begin
+    else if Activity.non_compensatable a && not t.no_lemma1 then begin
       let preds =
         List.sort_uniq compare
           (Deps.uncommitted_preds t.deps pid @ List.map fst new_edges)
@@ -1368,15 +1354,14 @@ module Reference = struct
         services_conflict t service (Process.find ps.proc act).Activity.service
     | Running | Recovering | Awaiting_commit | Done -> false
 
+  let placed_conflict t ps service =
+    inflight_conflict t ps service || prepared_conflict t ps service
+
   let busy_conflicts t ps service =
-    let inflight_conflict = (not t.cfg.weak_order) && inflight_conflict t ps service in
-    let pending_conflict =
-      List.exists
-        (fun inst -> services_conflict t service (instance_service inst))
-        ps.pending_completion
-    in
-    inflight_conflict || pending_conflict
-    || ((not (enforcing t)) && prepared_conflict t ps service)
+    List.exists
+      (fun inst -> services_conflict t service (instance_service inst))
+      ps.pending_completion
+    || (t.cfg.order = Strong && placed_conflict t ps service)
 
   let remaining_services ps =
     let executed = Execution.executed ps.exec in
@@ -1406,10 +1391,13 @@ module Reference = struct
         | None -> false
         | Some qs ->
             Execution.recovery_state qs.exec = Execution.F_rec
+            && (not
+                  (List.exists
+                     (fun cs -> List.exists (fun ms -> services_conflict t cs ms) my_future)
+                     (completion_services qs)))
             && not
-                 (List.exists
-                    (fun cs -> List.exists (fun ms -> services_conflict t cs ms) my_future)
-                    (completion_services qs)))
+                 (t.cfg.order = Weak
+                 && List.exists (fun ms -> placed_conflict t qs ms) my_future))
       preds
 
   let exact_ok t (a : Activity.t) =
@@ -1461,8 +1449,7 @@ module Reference = struct
                   (fun s ->
                     ((live q || q.term = Schedule.Committed)
                     && occurrence_conflicts t q s)
-                    || (t.cfg.weak_order && live q && inflight_conflict t q s)
-                    || (enforcing t && live q && prepared_conflict t q s))
+                    || (t.cfg.order = Weak && live q && placed_conflict t q s))
                   gservices
               then Some (qid, pid)
               else None)
@@ -1521,7 +1508,7 @@ module Reference = struct
         (Delay blockers, [])
       end
       else if t.cfg.naive_sr then (Admit_invoke, new_edges)
-      else if Activity.non_compensatable a && not t.cfg.debug_no_lemma1 then begin
+      else if Activity.non_compensatable a && not t.no_lemma1 then begin
         let preds =
           List.sort_uniq compare
             (Deps.uncommitted_preds t.deps pid @ List.map fst new_edges)
@@ -1873,25 +1860,7 @@ and dispatch t ps act how =
             match placed_act q with Some qact -> obligation qact | None -> ()
           end)
         (pstates t)
-  | None ->
-      if t.cfg.weak_order then
-        ps.weak_wait <-
-          List.find_map
-            (fun q ->
-              if
-                Process.pid q.proc <> pid && live q
-                && inflight_conflict t q a.Activity.service
-              then
-                match q.inflight with
-                | Some qact ->
-                    let qid = Process.pid q.proc in
-                    let att =
-                      Option.value ~default:0 (Hashtbl.find_opt t.attempts (qid, qact))
-                    in
-                    Some (qid, qact, att)
-                | None -> None
-              else None)
-            (pstates t));
+  | None -> ());
   Metrics.incr t.metrics "dispatched";
   if Obs.Tracer.active t.obs then
     Obs.Tracer.emit t.obs
@@ -1974,28 +1943,6 @@ and on_activity_done t pid act how =
   match Hashtbl.find_opt t.procs pid with
   | None -> ()
   | Some ps -> (
-      (match ps.weak_wait with
-      | Some _ when ps.phase = Recovering || ps.phase = Done ->
-          (* our process was aborted while weakly waiting *)
-          ps.weak_wait <- None
-      | Some (qid, qact, att) -> (
-          match Hashtbl.find_opt t.procs qid with
-          | Some q when live q && q.inflight = Some qact ->
-              let att_now = Option.value ~default:0 (Hashtbl.find_opt t.attempts (qid, qact)) in
-              if att_now > att then begin
-                (* the predecessor was re-invoked: restart our local
-                   transaction behind it (Section 3.6) *)
-                Metrics.incr t.metrics "weak_restarts";
-                ps.weak_wait <- Some (qid, qact, att_now);
-                let a = Process.find ps.proc act in
-                Des.after t.sim (duration t a) (fun _ -> on_activity_done t pid act how)
-              end
-              else begin
-                Metrics.incr t.metrics "weak_commit_waits";
-                Des.after t.sim 0.05 (fun _ -> on_activity_done t pid act how)
-              end
-          | Some _ | None -> ps.weak_wait <- None)
-      | None -> ());
       (* Section 3.6 enforcement: the subsystem call below IS the local
          commit of the token's open transaction, so it must wait until
          every prescribed predecessor's local transaction committed.  On
@@ -2008,7 +1955,6 @@ and on_activity_done t pid act how =
           when (match ps.phase with
                | Running | Awaiting_commit | Blocked_2pc _ -> true
                | Recovering | Deciding_2pc _ | Done -> false)
-               && ps.weak_wait = None
                && Enforce.state e ~token:(activity_token ~pid ~act) = Some `Open -> (
             match
               Enforce.request_commit e ~token:(activity_token ~pid ~act)
@@ -2021,7 +1967,7 @@ and on_activity_done t pid act how =
             | `Granted -> false)
         | Some _ | None -> false
       in
-      if ps.weak_wait <> None || enf_held then ()
+      if enf_held then ()
       else begin
       if ps.inflight = Some act then begin
         bump_pid t pid;
@@ -2635,7 +2581,6 @@ let register t ?(args_of = fun _ -> Value.Nil) ?(groups = []) proc =
       pending_completion = [];
       resume_exec = None;
       completion_cache = None;
-      weak_wait = None;
       aborting = false;
       term = Schedule.Active;
       arrived = now t;
@@ -2984,6 +2929,8 @@ let recover ?(config = default_config) ?(amnesia = false) ?tracer ?(groups = [])
       end;
       Metrics.incr t.metrics "recovered_processes" ~by:(List.length entries);
       Ok t
+
+let disable_lemma1 t = t.no_lemma1 <- true
 
 (* Parked-edge GC: drop parked cycle-closing edges whose endpoints both
    terminated (see {!Deps.compact}) so a long-lived server's admissions

@@ -78,6 +78,15 @@ type admission_engine =
           the decision or the recorded dependency edges (differential
           testing; also cross-checks every [Deps.would_cycle] verdict) *)
 
+(** How conflicting activities of different processes are ordered in
+    their subsystems (Section 3.6). *)
+type order =
+  | Strong  (** sequential execution: a conflicting activity waits (default) *)
+  | Weak
+      (** overlapping execution: a conflicting activity may run while its
+          predecessor is in flight or prepared, and the subsystem enforces
+          the commit order (see {!config.order}) *)
+
 type config = {
   mode : mode;
   exact_admission : bool;
@@ -89,24 +98,20 @@ type config = {
           recovery (no Lemma-1 gating, no completion anticipation) — it
           reproduces the figure-1 anomaly and its histories may violate
           PRED. *)
-  weak_order : bool;
-      (** Section 3.6: conflicting activities of different processes may
-          execute overlapping in their subsystems; the subsystem enforces
-          the weak (intended) order on their commits, and a retriable
-          re-invocation restarts the dependent local transaction.  Off by
-          default (strong order: sequential execution). *)
-  order_enforcement : bool;
-      (** Section 3.6 end to end: realize the weak order through
-          per-subsystem local executors ({!Tpm_composite.Enforce}) — each
-          activity opens a local transaction at dispatch, its local commit
-          (the subsystem call) is {e held} until every prescribed
-          predecessor's local transaction committed, and a predecessor's
-          local abort restarts the dependent local transactions (not
-          their processes).  Also lets dependents overlap {e prepared}
-          (2PC-pending) predecessors; the admission edges order them.
-          Only meaningful together with [weak_order].  The live local
-          schedules are exposed via {!local_histories}.  Off by
-          default. *)
+  order : order;
+      (** Section 3.6.  [Strong] (default): a conflicting in-flight or
+          prepared activity of another process blocks admission.  [Weak]:
+          it does not; the admission records a dependency edge instead and
+          per-subsystem local executors ({!Tpm_composite.Enforce}) realize
+          that order — each activity opens a local transaction at
+          dispatch, its local commit (the subsystem call) is {e held}
+          until every prescribed predecessor's local transaction
+          committed, and a predecessor's local abort restarts the
+          dependent local transactions (not their processes).  Transient
+          retries happen inside the open local transaction.  Under
+          [Quasi], a predecessor whose conflicting activity is still in
+          flight or prepared does not qualify for the quasi-commit.  The
+          live local schedules are exposed via {!local_histories}. *)
   seed : int;
   service_time : string -> float;  (** mean duration of a service invocation *)
   stochastic_times : bool;  (** exponential durations instead of deterministic *)
@@ -146,18 +151,12 @@ type config = {
           Irrelevant without [wal_path]. *)
   wal_segment_bytes : int;
       (** segment roll size of the mirrored log (default 1 MiB) *)
-  debug_no_lemma1 : bool;
-      (** MUTATION FLAG, tests only: skip the Lemma-1 gating of
-          non-compensatable activities entirely, committing them
-          immediately even while conflicting predecessors are uncommitted.
-          Exists so the explorer's self-test can prove it detects the
-          resulting PRED violation; never set it in real configurations. *)
 }
 
 val default_config : config
-(** [Deferred] mode, seed 1, unit service times, deterministic,
-    {!default_backoff}, no timeout, outage degradation on, 2PC
-    retransmission every 1.0, in-doubt inquiry after 3.0. *)
+(** [Deferred] mode, [Strong] order, seed 1, unit service times,
+    deterministic, {!default_backoff}, no timeout, outage degradation on,
+    2PC retransmission every 1.0, in-doubt inquiry after 3.0. *)
 
 type t
 
@@ -262,8 +261,8 @@ val local_histories : t -> (string * Tpm_composite.Local.t) list
     forward} weak-order transactions only (one per activity attempt
     chain: footprint at dispatch, commit at the subsystem call,
     restarts as abort + re-emission); compensations and completion
-    activities are deliberately outside them.  Empty unless
-    [order_enforcement] is on. *)
+    activities are deliberately outside them.  Empty under the [Strong]
+    order. *)
 
 val enforcement_held : t -> int
 (** Local commits the enforcement layer delayed at least once. *)
@@ -375,6 +374,13 @@ val latent_self_check : t -> (unit, string) result
     from scratch with the one-shot algorithm and compares it against the
     maintained state, including the combined-graph order's cyclicity
     verdict.  [Error msg] names the first divergence. *)
+
+val disable_lemma1 : t -> unit
+(** Mutation hook, tests only: from now on the scheduler skips the
+    Lemma-1 gating of non-compensatable activities entirely, committing
+    them immediately even while conflicting predecessors are uncommitted.
+    Exists so the explorer's self-test can prove it detects the resulting
+    PRED violation. *)
 
 val gc_deps : t -> int
 (** Drop parked cycle-closing dependency edges both of whose endpoints

@@ -14,7 +14,6 @@ let () =
       ("wal-corruption", Test_wal_corruption.suite);
       ("explore", Test_explore.suite);
       ("twopc-coord", Test_twopc_coord.suite);
-      ("weak-order", Test_weak_order.suite);
       ("enforce", Test_enforce.suite);
       ("workloads", Test_workloads.suite);
       ("builder", Test_builder.suite);

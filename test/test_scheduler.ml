@@ -310,7 +310,7 @@ let test_quasi_mode_cim () =
   check Alcotest.bool "history PRED" true (Criteria.pred h)
 
 let test_weak_order_with_failures_cim () =
-  let config = { Scheduler.default_config with weak_order = true } in
+  let config = { Scheduler.default_config with order = Scheduler.Weak } in
   let t, _ =
     cim_setup ~config ~fail_prob:(fun s -> if s = "test:boiler" then 1.0 else 0.0) "boiler"
   in
@@ -318,7 +318,11 @@ let test_weak_order_with_failures_cim () =
   Scheduler.submit t ~at:0.5 ~args_of:Cim.args_of (Cim.production ~pid:2 ~part:"boiler");
   Scheduler.run t;
   check Alcotest.bool "finished" true (Scheduler.finished t);
-  check Alcotest.bool "RED" true (Criteria.red (Scheduler.history t))
+  check Alcotest.bool "RED" true (Criteria.red (Scheduler.history t));
+  check Alcotest.bool "locals commit-order serializable" true
+    (List.for_all
+       (fun (_, l) -> Tpm_composite.Local.commit_order_serializable l)
+       (Scheduler.local_histories t))
 
 let test_metrics_surface () =
   let t, _ = cim_setup "boiler" in

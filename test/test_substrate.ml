@@ -1,5 +1,6 @@
 (* Unit tests for the substrates: store, transactions, locks, services,
-   resource managers, and two-phase commit. *)
+   and resource managers, including their prepared (2PC participant)
+   state.  The coordinator side is tested in test_twopc_coord.ml. *)
 
 module Value = Tpm_kv.Value
 module Store = Tpm_kv.Store
@@ -237,38 +238,6 @@ let test_rm_in_doubt_token_lookup () =
   check (Alcotest.option Alcotest.int) "other cid intact" (Some 2)
     (Rm.in_doubt_token rm ~cid:20)
 
-let test_twopc_commit_and_abort () =
-  let rm1 = Rm.create ~name:"db1" ~registry:(counter_registry ()) () in
-  let rm2 = Rm.create ~name:"db2" ~registry:(counter_registry ()) () in
-  ignore (Rm.prepare rm1 ~token:1 ~service:"incr" ());
-  ignore (Rm.prepare rm2 ~token:2 ~service:"incr" ());
-  let log = ref [] in
-  let d =
-    Tpm_twopc.Twopc.run
-      ~on_log:(fun e -> log := e :: !log)
-      [ Tpm_twopc.Twopc.participant_of_rm rm1 ~token:1;
-        Tpm_twopc.Twopc.participant_of_rm rm2 ~token:2 ]
-  in
-  check Alcotest.bool "decision commit" true (d = Tpm_twopc.Twopc.Committed);
-  check value "rm1 committed" (Value.Int 1) (Store.get (Rm.store rm1) "n");
-  check value "rm2 committed" (Value.Int 1) (Store.get (Rm.store rm2) "n");
-  check Alcotest.int "protocol log: begin, 2 votes, decision, done" 5 (List.length !log);
-  (* a refusing participant forces a global abort *)
-  let rm3 = Rm.create ~name:"db3" ~registry:(counter_registry ()) () in
-  ignore (Rm.prepare rm3 ~token:9 ~service:"incr" ());
-  let refusing =
-    { Tpm_twopc.Twopc.id = "bad"; vote = (fun () -> false); commit = ignore; abort = ignore }
-  in
-  let d2 =
-    Tpm_twopc.Twopc.run [ Tpm_twopc.Twopc.participant_of_rm rm3 ~token:9; refusing ]
-  in
-  check Alcotest.bool "decision abort" true (d2 = Tpm_twopc.Twopc.Aborted);
-  check value "rm3 rolled back" Value.Nil (Store.get (Rm.store rm3) "n")
-
-let test_twopc_empty_commits () =
-  check Alcotest.bool "empty participant list commits" true
-    (Tpm_twopc.Twopc.run [] = Tpm_twopc.Twopc.Committed)
-
 let suite =
   [
     Alcotest.test_case "store basics" `Quick test_store_basics;
@@ -289,6 +258,4 @@ let suite =
     Alcotest.test_case "prepared invocations block conflicts" `Quick test_rm_prepare_blocks_conflicts;
     Alcotest.test_case "prepared abort rolls back" `Quick test_rm_prepare_abort_rolls_back;
     Alcotest.test_case "in-doubt token lookup by cid" `Quick test_rm_in_doubt_token_lookup;
-    Alcotest.test_case "two-phase commit" `Quick test_twopc_commit_and_abort;
-    Alcotest.test_case "empty 2PC commits" `Quick test_twopc_empty_commits;
   ]

@@ -1,10 +1,11 @@
 (* The message-driven, durably-logged, presumed-abort 2PC coordinator:
-   fault-free record sequence, retransmission through loss, idempotence
-   under duplication, the participant-side termination protocol, and the
-   scheduler-level guarantee that a durable commit decision survives any
-   crash or message loss.  Also the vote-collection fix of the legacy
-   synchronous [Twopc.run] and the idempotence of [Recovery.analyze]
-   under duplicated/reordered [Prepared_decided] records. *)
+   fault-free record sequence (commit applied at every participant),
+   presumed abort on a refused vote (rolled back everywhere),
+   retransmission through loss, idempotence under duplication, the
+   participant-side termination protocol, and the scheduler-level
+   guarantee that a durable commit decision survives any crash or message
+   loss.  Also the idempotence of [Recovery.analyze] under
+   duplicated/reordered [Prepared_decided] records. *)
 
 open Tpm_core
 module Des = Tpm_sim.Des
@@ -14,7 +15,6 @@ module Faults = Tpm_sim.Faults
 module Metrics = Tpm_sim.Metrics
 module Wal = Tpm_wal.Wal
 module Recovery = Tpm_wal.Recovery
-module Twopc = Tpm_twopc.Twopc
 module Coordinator = Tpm_twopc.Coordinator
 module Service = Tpm_subsys.Service
 module Rm = Tpm_subsys.Rm
@@ -77,33 +77,6 @@ let world ?faults ?retransmit_after ?inquiry_after rms =
     (fun rm -> Coordinator.Participant.attach ~sim ~bus ~rm ~metrics ?inquiry_after ())
     rms;
   { sim; bus; coord; metrics; records }
-
-(* ------------------------------------------------------------------ *)
-(* satellite: the legacy synchronous protocol logs every vote *)
-
-let test_run_collects_all_votes () =
-  let aborted = ref [] in
-  let part id v =
-    {
-      Twopc.id;
-      vote = (fun () -> v);
-      commit = (fun () -> Alcotest.fail "commit after a refusal");
-      abort = (fun () -> aborted := id :: !aborted);
-    }
-  in
-  let log = ref [] in
-  let d =
-    Twopc.run
-      ~on_log:(fun e -> log := e :: !log)
-      [ part "a" true; part "b" false; part "c" true ]
-  in
-  check Alcotest.bool "aborted" true (d = Twopc.Aborted);
-  let votes = List.filter (function Twopc.Voted _ -> true | _ -> false) !log in
-  check Alcotest.int "every participant voted" 3 (List.length votes);
-  check Alcotest.bool "the vote after the refusal was still collected" true
-    (List.mem (Twopc.Voted ("c", true)) !log);
-  check Alcotest.(list string) "all participants aborted" [ "a"; "b"; "c" ]
-    (List.sort compare !aborted)
 
 (* ------------------------------------------------------------------ *)
 (* coordinator: fault-free WAL record sequence, synchronous completion *)
@@ -408,7 +381,6 @@ let test_analyze_dup_reorder () =
 
 let suite =
   [
-    Alcotest.test_case "Twopc.run collects every vote" `Quick test_run_collects_all_votes;
     Alcotest.test_case "fault-free coordinator record sequence" `Quick
       test_fault_free_records;
     Alcotest.test_case "aborts are presumed, never logged" `Quick

@@ -30,8 +30,8 @@ case "$out" in
 esac
 # systematic exploration: exhaust the built-in scenarios (also regenerates
 # the P13 state-count record), then the mutation self-test — disabling the
-# Lemma-1 commit deferral must yield a PRED violation whose minimized
-# trace replays from the file
+# Lemma-1 commit deferral (a test-only scheduler hook) must yield a PRED
+# violation whose minimized trace replays from the file
 dune exec tools/explore.exe -- --quiet --bench-json bench/BENCH_P13.json
 out=$(dune exec tools/explore.exe -- --quiet --scenario lemma1-mut \
         --expect-violation --trace-out _build/explore-mut.trace)
@@ -110,16 +110,18 @@ dune exec bench/main.exe -- p14 --quick --min-throughput 20000
 # stay linear (>= 100k reads/s in one transaction; measured ~1M)
 dune exec bench/main.exe -- p17 --quick --min-hit-rate 0.95 --min-tx-reads 100000
 # composite crash sweep at full coverage: crash at EVERY append while a
-# grouped subprocess (Compose) is mid-flight under the enforced weak
-# order, recover with the groups re-declared, and require the recovered
+# grouped subprocess (Compose) is mid-flight under the weak order
+# (order = Weak: commit order enforced in the subsystems), recover with
+# the groups re-declared, and require the recovered
 # subsystem histories commit-order serializable (runtest runs a strided
 # slice; this arm exhausts all crash points for every seed)
 dune exec tools/crashsweep.exe -- --composite-only
 # p18 smoke: the headline — at the highest conflict density PRED with the
-# subsystem-enforced weak order must out-throughput BOTH classical
-# baselines (strict 2PL and TSO over whole-process transactions), the
-# weak order must shorten the PRED makespan by >= 1.05x, and the bench
-# must exercise the retriable re-invocation path (> 0 local restarts)
+# weak order (order = Weak, enforced in the subsystems) must
+# out-throughput BOTH classical baselines (strict 2PL and TSO over
+# whole-process transactions), the weak order must shorten the PRED
+# makespan by >= 1.05x, and the bench must exercise the retriable
+# re-invocation path (> 0 local restarts)
 dune exec bench/main.exe -- p18 --quick --min-weak-speedup 1.05 --check-baselines
 # full bench regenerates the reference output, bench/BENCH_P11.json,
 # bench/BENCH_P12.json, bench/BENCH_P14.json, bench/BENCH_P15.json,

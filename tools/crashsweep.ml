@@ -856,8 +856,7 @@ let composite_sweep ~seed ~stride =
       Scheduler.default_config with
       mode = Scheduler.Deferred;
       seed;
-      weak_order = true;
-      order_enforcement = true;
+      order = Scheduler.Weak;
     }
   in
   let spec = Generator.spec params in
