@@ -497,8 +497,13 @@ and run_raw scenario ~script =
     if scenario.crash_explore then Faults.make ~crash_explore:true () else Faults.none
   in
   let tracer = Obs.Tracer.create ~ring_capacity:256 () in
+  (* every branch runs the Checked engine: its decisions are the
+     incremental engine's, cross-checked against the reference oracle,
+     and every skipped parked waiter is re-derived (missed-wakeup
+     detector) *)
+  let config = { scenario.config with Scheduler.admission_engine = Scheduler.Checked } in
   let t =
-    Scheduler.create ~config:scenario.config ~faults ~choice ~tracer
+    Scheduler.create ~config ~faults ~choice ~tracer
       ~spec:scenario.spec ~rms ()
   in
   scenario.instrument t;
@@ -513,7 +518,7 @@ and run_raw scenario ~script =
     else begin
       let records = Scheduler.wal_records t in
       match
-        Scheduler.recover ~config:scenario.config ~spec:scenario.spec ~rms
+        Scheduler.recover ~config ~spec:scenario.spec ~rms
           ~procs:scenario.procs records
       with
       | Error e ->

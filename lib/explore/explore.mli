@@ -41,6 +41,9 @@ type scenario = {
   procs : Tpm_core.Process.t list;
   submit_at : int -> float;  (** submission time of the i-th process *)
   config : Tpm_scheduler.Scheduler.config;
+      (** run with [admission_engine] forced to [Checked]: every branch
+          cross-checks admissions against the reference oracle and
+          re-derives every skipped parked waiter *)
   crash_explore : bool;
       (** offer a crash choice point after every WAL append *)
   instrument : Tpm_scheduler.Scheduler.t -> unit;

@@ -279,6 +279,7 @@ type t = {
          [ok:false] on Unavailable / invocation timeout, [ok:true] on a
          successful subsystem answer *)
   mutable no_lemma1 : bool;  (* mutation hook, tests only: see [disable_lemma1] *)
+  wakeup : Wakeup.t;  (* parked admission waiters and their invalidation stamps *)
 }
 
 let tracer t = t.obs
@@ -509,6 +510,7 @@ let create ?(config = default_config) ?(faults = Faults.none)
     obs;
     subsys_observer = None;
     no_lemma1 = false;
+    wakeup = Wakeup.create ();
   }
 
 let now t = Des.now t.sim
@@ -540,14 +542,21 @@ let pstates t = t.plist
    terminations, registrations) must mark the mutated process dirty —
    the next admission re-derives exactly its latent contribution.  The
    differential stress (--check-admission) and {!latent_self_check}
-   would catch a missed site as an engine divergence. *)
+   would catch a missed site as an engine divergence.  The same sites
+   stamp the pid for the parked waiters ({!Wakeup}), before the [lt_full]
+   shortcut: a full rebuild pending does not make a mutation invisible to
+   a park. *)
 let bump_pid t pid =
+  Wakeup.bump_pid t.wakeup pid;
   if not t.latent.lt_full then Hashtbl.replace t.latent.lt_dirty pid ()
 
 (* structural invalidation: cached closures embed conflict-matrix rows,
    so anything that mutates existing rows (late service interning) or
-   rebuilds the world (recovery) must drop the whole base *)
-let bump t = t.latent.lt_full <- true
+   rebuilds the world (recovery) must drop the whole base — and every
+   park, whose witness cannot name such a change *)
+let bump t =
+  Wakeup.bump_all t.wakeup;
+  t.latent.lt_full <- true
 
 (* A dependency edge joined the combined graph the topological order is
    maintained over.  Forward in a valid order: nothing to do.  Backward
@@ -565,8 +574,11 @@ let latent_dep_added t i j =
 
 (* A dependency edge left the combined graph (process abort, parked-edge
    GC).  A valid topological order survives any removal; a known-cyclic
-   verdict does not. *)
+   verdict does not, and neither does a park whose witness is a cycle
+   through the removed edge.  (Additions need no stamp: a new edge or a
+   new process only adds blockers and cycles, never removes a delay.) *)
 let latent_dep_removed t =
+  Wakeup.bump_all t.wakeup;
   match t.latent.lt_order with
   | Order_cyclic -> t.latent.lt_order <- Order_stale
   | Order_stale | Order_valid _ -> ()
@@ -1137,36 +1149,49 @@ let latent_resolve_order t lt =
 (* Is deps ∪ base ∪ extras cyclic?  Every extra edge is incident to the
    candidate [pid], so when the combined graph is acyclic a new cycle
    must pass through [pid]: all-forward extras in the maintained order is
-   an O(extras) "no", otherwise one DFS from [pid]'s successors decides. *)
+   an O(extras) "no", otherwise one DFS from [pid]'s successors decides.
+   A cycle the DFS finds is returned as the nodes on it besides [pid]:
+   each of its edges is a stored dependency edge, a base latent edge or
+   an extra, and each of those depends only on its endpoints' state, so
+   the cycle persists while none of those nodes (nor [pid]) changes and
+   no edge is removed — the parked waiter's witness. *)
+type cycle_verdict =
+  | Acyclic
+  | Base_cyclic  (* deps ∪ base cyclic already: no candidate-specific witness *)
+  | Cycle_through of int list
+
 let latent_would_cycle t lt ~pid extras =
   match latent_resolve_order t lt with
-  | None -> true
+  | None -> Base_cyclic
   | Some pos ->
       let posv n = Option.value ~default:max_int (Hashtbl.find_opt pos n) in
       if List.for_all (fun (i, j) -> posv i < posv j) extras then begin
         Metrics.incr t.metrics "latent_probe_fast";
-        false
+        Acyclic
       end
       else begin
         Metrics.incr t.metrics "latent_probe_dfs";
         let into = Hashtbl.create 8 in
         List.iter (fun (i, j) -> if j = pid && i <> pid then Hashtbl.replace into i ()) extras;
         let seen = Hashtbl.create 32 in
-        let exception Found in
+        let path = ref [] in
+        let exception Found of int list in
         let rec go n =
-          if n = pid then raise Found;
+          if n = pid then raise (Found !path);
           if not (Hashtbl.mem seen n) then begin
             Hashtbl.replace seen n ();
-            if Hashtbl.mem into n then raise Found;
-            latent_succ_iter t lt n go
+            if Hashtbl.mem into n then raise (Found (n :: !path));
+            path := n :: !path;
+            latent_succ_iter t lt n go;
+            path := List.tl !path
           end
         in
         let r =
           try
             List.iter (fun (i, j) -> if i = pid then go j) extras;
             latent_succ_iter t lt pid go;
-            false
-          with Found -> true
+            Acyclic
+          with Found nodes -> Cycle_through nodes
         in
         Metrics.observe t.metrics "latent_dfs_nodes" (float_of_int (Hashtbl.length seen));
         r
@@ -1188,8 +1213,11 @@ let exact_ok t (a : Activity.t) =
    when the activity is admitted — so the incremental engine and the
    reference oracle can be run side by side on identical state.  The
    incremental engine additionally returns the {!Obs.reason} code of its
-   decision (the explain payload); the reference oracle is kept verbatim
-   and the [Checked] engine compares decisions and edges only. *)
+   decision (the explain payload) and, for a delay, its witness: pids
+   whose unchanged state proves the delay still holds ([None] when no
+   such set is known — the waiter is then re-asked on every wake pass).
+   The reference oracle is kept verbatim and the [Checked] engine
+   compares decisions and edges only. *)
 
 let admission_decision t pid act =
   let ps = Hashtbl.find t.procs pid in
@@ -1232,7 +1260,10 @@ let admission_decision t pid act =
           else None)
         others
   in
-  if busy_blockers <> [] then (Delay busy_blockers, [], Obs.Busy)
+  (* Busy is checked first: while the first blocker is unchanged it still
+     busy-conflicts, so the delay holds whatever else moves *)
+  if busy_blockers <> [] then
+    (Delay busy_blockers, [], Obs.Busy, Some [ List.hd busy_blockers ])
   else begin
     let new_edges =
       if member_admitted then []
@@ -1262,8 +1293,9 @@ let admission_decision t pid act =
        conflict row against other futures, its service against other
        closures) are computed here, O(n) bitset probes per admission. *)
     let would, all_latent =
-      if member_admitted then (false, lazy [])
-      else if t.cfg.naive_sr then (Deps.would_cycle t.deps new_edges, lazy [])
+      if member_admitted then (Acyclic, lazy [])
+      else if t.cfg.naive_sr then
+        ((if Deps.would_cycle t.deps new_edges then Base_cyclic else Acyclic), lazy [])
       else begin
         let c = latent_base t in
         (* the candidate's row widens its process's closure: extra edges
@@ -1298,38 +1330,46 @@ let admission_decision t pid act =
             @ List.concat_map (fun (i, j) -> [ i; j ]) (extra_out @ extra_in)) )
       end
     in
-    if would then begin
-      (* wait for the live processes involved in the would-be cycle *)
-      let blockers =
-        List.concat_map (fun (i, j) -> [ i; j ]) new_edges @ Lazy.force all_latent
-        |> List.filter (fun q -> q <> pid)
-        |> List.sort_uniq compare
-      in
-      (Delay blockers, [], Obs.Would_cycle)
-    end
-    else if t.cfg.naive_sr then
-      (* serializability-only: admit immediately, never gate on recovery *)
-      (Admit_invoke, new_edges, admit_reason ())
-    else if Activity.non_compensatable a && not t.no_lemma1 then begin
-      let preds =
-        List.sort_uniq compare
-          (Deps.uncommitted_preds t.deps pid @ List.map fst new_edges)
-      in
-      if t.cfg.exact_admission && not (exact_ok t a) then
-        (Delay (List.sort_uniq compare (List.map fst new_edges)), [], Obs.Exact_reject)
-      else if preds = [] then (Admit_invoke, new_edges, admit_reason ())
-      else
-        match t.cfg.mode with
-        | Conservative -> (Delay preds, [], Obs.Conservative_wait)
-        | Deferred -> (Admit_prepare, new_edges, Obs.Deferred_prepare)
-        | Quasi ->
-            if quasi_ok_bits t preds ~row:crow ps then
-              (Admit_invoke, new_edges, Obs.Quasi_commit)
-            else (Admit_prepare, new_edges, Obs.Deferred_prepare)
-    end
-    else if t.cfg.exact_admission && not (exact_ok t a) then
-      (Delay (List.sort_uniq compare (List.map fst new_edges)), [], Obs.Exact_reject)
-    else (Admit_invoke, new_edges, admit_reason ())
+    match would with
+    | Base_cyclic | Cycle_through _ ->
+        (* wait for the live processes involved in the would-be cycle *)
+        let blockers =
+          List.concat_map (fun (i, j) -> [ i; j ]) new_edges @ Lazy.force all_latent
+          |> List.filter (fun q -> q <> pid)
+          |> List.sort_uniq compare
+        in
+        let witness =
+          match would with Cycle_through nodes -> Some nodes | Base_cyclic | Acyclic -> None
+        in
+        (Delay blockers, [], Obs.Would_cycle, witness)
+    | Acyclic ->
+        if t.cfg.naive_sr then
+          (* serializability-only: admit immediately, never gate on recovery *)
+          (Admit_invoke, new_edges, admit_reason (), None)
+        else if Activity.non_compensatable a && not t.no_lemma1 then begin
+          let preds =
+            List.sort_uniq compare
+              (Deps.uncommitted_preds t.deps pid @ List.map fst new_edges)
+          in
+          if t.cfg.exact_admission && not (exact_ok t a) then
+            (Delay (List.sort_uniq compare (List.map fst new_edges)), [], Obs.Exact_reject, None)
+          else if preds = [] then (Admit_invoke, new_edges, admit_reason (), None)
+          else
+            match t.cfg.mode with
+            | Conservative ->
+                (* an unchanged predecessor stays a predecessor: a stored edge
+                   leaves only by removal, a committed source's occurrences
+                   stay put *)
+                (Delay preds, [], Obs.Conservative_wait, Some preds)
+            | Deferred -> (Admit_prepare, new_edges, Obs.Deferred_prepare, None)
+            | Quasi ->
+                if quasi_ok_bits t preds ~row:crow ps then
+                  (Admit_invoke, new_edges, Obs.Quasi_commit, None)
+                else (Admit_prepare, new_edges, Obs.Deferred_prepare, None)
+        end
+        else if t.cfg.exact_admission && not (exact_ok t a) then
+          (Delay (List.sort_uniq compare (List.map fst new_edges)), [], Obs.Exact_reject, None)
+        else (Admit_invoke, new_edges, admit_reason (), None)
   end
 
 (* The pre-incremental admission path, kept verbatim (string-keyed
@@ -1568,20 +1608,22 @@ let claim_group_footprint t ps g =
 
 let admission t pid act =
   let t0 = match t.cfg.admission_clock with Some f -> f () | None -> 0.0 in
-  let decision, edges, reason =
+  let decision, edges, reason, witness =
     match t.cfg.admission_engine with
     | Incremental -> admission_decision t pid act
     | Reference ->
-        (* the oracle computes no reason code; classify its decision *)
+        (* the oracle computes no reason code; classify its decision.  It
+           computes no witness either: under it no waiter ever parks. *)
         let d, e = Reference.admission_decision t pid act in
         ( d,
           e,
-          match d with
+          (match d with
           | Admit_invoke -> if e = [] then Obs.Clear else Obs.Ordered
           | Admit_prepare -> Obs.Deferred_prepare
-          | Delay _ -> Obs.Busy )
+          | Delay _ -> Obs.Busy),
+          None )
     | Checked ->
-        let d_inc, e_inc, r_inc = admission_decision t pid act in
+        let d_inc, e_inc, r_inc, w_inc = admission_decision t pid act in
         let d_ref, e_ref = Reference.admission_decision t pid act in
         if not (same_admission d_inc d_ref && e_inc = e_ref) then
           failwith
@@ -1594,7 +1636,7 @@ let admission t pid act =
                (admission_to_string d_ref)
                (String.concat ";"
                   (List.map (fun (i, j) -> Printf.sprintf "%d->%d" i j) e_ref)));
-        (d_inc, e_inc, r_inc)
+        (d_inc, e_inc, r_inc, w_inc)
   in
   (match t.cfg.admission_clock with
   | Some f -> Metrics.observe t.metrics "admission_time" (f () -. t0)
@@ -1630,7 +1672,7 @@ let admission t pid act =
       | Some _ | None -> ())
   | Delay _ -> ());
   List.iter (fun (i, j) -> add_dep_edge t i j) edges;
-  decision
+  (decision, witness)
 
 (* ------------------------------------------------------------------ *)
 (* Forward progress *)
@@ -1639,6 +1681,7 @@ let rec wake t =
   if not !(t.crashed) then begin
     let changed = ref false in
     let waiting : (int, int list) Hashtbl.t = Hashtbl.create 8 in
+    let parked = ref [] in
     List.iter
       (fun ps ->
         (* the crash trigger may fire mid-iteration: once crashed, no
@@ -1684,17 +1727,34 @@ let rec wake t =
               if Execution.can_commit ps.exec then begin
                 if try_commit t ps then changed := true
               end
+              else if Wakeup.holds t.wakeup pid then begin
+                (* parked and no witness moved: every enabled activity is
+                   still delayed, exactly what re-asking would answer.  Its
+                   blockers are filled in only if this pass ends in a
+                   stall check; until then a placeholder holds its place,
+                   so [waiting] is laid out as after a full rescan. *)
+                Metrics.incr t.metrics "admission_delays";
+                Metrics.incr t.metrics "admission_parked";
+                if t.cfg.admission_engine = Checked then ignore (parked_blockers t ps);
+                Hashtbl.replace waiting pid [];
+                parked := ps :: !parked
+              end
               else begin
                 let enabled = Execution.enabled ps.exec in
                 let blockers = ref [] in
+                let witness = ref (Some [ pid ]) in
                 let admitted =
                   List.find_map
                     (fun act ->
                       match admission t pid act with
-                      | Admit_invoke -> Some (act, `Invoke)
-                      | Admit_prepare -> Some (act, `Prepare)
-                      | Delay bs ->
+                      | Admit_invoke, _ -> Some (act, `Invoke)
+                      | Admit_prepare, _ -> Some (act, `Prepare)
+                      | Delay bs, w ->
                           blockers := bs @ !blockers;
+                          witness :=
+                            (match (!witness, w) with
+                            | Some acc, Some w -> Some (w @ acc)
+                            | Some _, None | None, _ -> None);
                           None)
                     enabled
                 in
@@ -1707,13 +1767,34 @@ let rec wake t =
                 | None ->
                     if enabled <> [] then begin
                       Metrics.incr t.metrics "admission_delays";
-                      Hashtbl.replace waiting pid (List.sort_uniq compare !blockers)
+                      Hashtbl.replace waiting pid (List.sort_uniq compare !blockers);
+                      match !witness with
+                      | Some w -> Wakeup.park t.wakeup pid ~witness:(List.sort_uniq compare w)
+                      | None -> ()
                     end
               end
             end)
       (pstates t);
-    if !changed then wake t else if not !(t.crashed) then detect_stall t waiting
+    if !changed then wake t
+    else if not !(t.crashed) then detect_stall t waiting ~parked:!parked
   end
+
+(* The blockers of a parked waiter, re-derived with the pure decision
+   function.  A parked waiter must still be delayed on every enabled
+   activity; an admissible one is a missed wakeup — a witness that failed
+   to name a state change the delay depended on.  The [Checked] engine
+   runs this at every skip; the stall check runs it before choosing
+   victims. *)
+and parked_blockers t ps =
+  let pid = Process.pid ps.proc in
+  List.concat_map
+    (fun act ->
+      match admission_decision t pid act with
+      | Delay bs, _, _, _ -> bs
+      | (Admit_invoke | Admit_prepare), _, _, _ ->
+          failwith (Printf.sprintf "missed wakeup: parked P%d a%d admissible" pid act))
+    (Execution.enabled ps.exec)
+  |> List.sort_uniq compare
 
 (* Decision callback of a coordinator instance: fires once every
    participant acknowledged.  On commit the activity's effects are already
@@ -1761,7 +1842,7 @@ and on_twopc_done t pid act ~commit =
    serialization order already contradicts the required commit order).
    Resolution: abort the youngest stalled process; its completion restores
    progress (guaranteed termination). *)
-and detect_stall t waiting =
+and detect_stall t waiting ~parked =
   let ps_list = pstates t in
   let lives = List.filter live ps_list in
   let busy =
@@ -1775,6 +1856,11 @@ and detect_stall t waiting =
          ps_list
   in
   if lives <> [] && not busy then begin
+    (* the waiters skipped as parked get their blockers now, in place, so
+       the wait-for graph (and the victims) are those of a full rescan *)
+    List.iter
+      (fun ps -> Hashtbl.replace waiting (Process.pid ps.proc) (parked_blockers t ps))
+      parked;
     (* build the wait-for graph and abort one cycle jointly, so that the
        Lemma 2/3 ordering of Completed.completion_order applies across the
        knot; waiters outside the cycle resume once it clears *)
@@ -2931,6 +3017,7 @@ let recover ?(config = default_config) ?(amnesia = false) ?tracer ?(groups = [])
       Ok t
 
 let disable_lemma1 t = t.no_lemma1 <- true
+let ignore_wakeup_witnesses t = Wakeup.ignore_witnesses t.wakeup
 
 (* Parked-edge GC: drop parked cycle-closing edges whose endpoints both
    terminated (see {!Deps.compact}) so a long-lived server's admissions

@@ -268,6 +268,20 @@ val enforcement_held : t -> int
 (** Local commits the enforcement layer delayed at least once. *)
 
 val metrics : t -> Tpm_sim.Metrics.t
+(** The scheduler's counters and series.  Three count admission work:
+    - ["admissions"]: admission decisions computed (one per enabled
+      activity asked, whatever the engine);
+    - ["admission_parked"]: processes the wake loop skipped because
+      their park held — every enabled activity was delayed and no pid of
+      the delay's witness, and no structural invalidation or
+      dependency-edge removal, changed since.  Always [0] under the
+      [Reference] engine, which computes no witnesses;
+    - ["admission_delays"]: delayed processes per wake pass, parked ones
+      included — the count a full rescan would give, so it is identical
+      across engines.
+    Under the [Checked] engine every skip re-derives the parked process's
+    decisions and fails with ["missed wakeup: ..."] if one admits. *)
+
 val wal_records : t -> Tpm_wal.Wal.record list
 
 val tracer : t -> Tpm_obs.Obs.Tracer.t
@@ -381,6 +395,12 @@ val disable_lemma1 : t -> unit
     them immediately even while conflicting predecessors are uncommitted.
     Exists so the explorer's self-test can prove it detects the resulting
     PRED violation. *)
+
+val ignore_wakeup_witnesses : t -> unit
+(** Mutation hook, tests only: from now on a parked admission waiter
+    stays parked whatever its witness pids do, so the wake loop keeps
+    skipping processes whose delay no longer holds.  Exists so a test can
+    prove the missed-wakeup detector of the [Checked] engine fires. *)
 
 val gc_deps : t -> int
 (** Drop parked cycle-closing dependency edges both of whose endpoints

@@ -27,4 +27,5 @@ let () =
       ("pager", Test_pager.suite);
       ("fingerprint", Test_fingerprint.suite);
       ("baseline", Test_baseline.suite);
+      ("wakeup", Test_wakeup.suite);
     ]

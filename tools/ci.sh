@@ -13,7 +13,8 @@ dune exec tools/stress.exe -- --seeds 41-50 --outages 0.0,0.2
 dune exec tools/stress.exe -- --seeds 41-50 --fail-rates 0.0,0.1 --msg-faults 0.05
 dune exec tools/stress.exe -- --seeds 41-50 --modes deferred,quasi --fail-rates 0.1 --amnesia
 # differential admission testing: incremental engine vs the string-based
-# reference oracle, bit-identical decisions/edges/cycle-verdicts required
+# reference oracle, bit-identical decisions/edges/cycle-verdicts required,
+# and no parked waiter may be admissible when the wake loop skips it
 dune exec tools/stress.exe -- --seeds 41-60 --check-admission
 dune exec tools/stress.exe -- --seeds 41-46 --modes deferred,quasi --fail-rates 0.1 --check-admission --amnesia
 # forensics: a stress arm with the ring tracer enabled (failures would
@@ -58,6 +59,10 @@ dune exec tools/stress.exe -- --seeds 41-43 --sync-policy each
 # server under every overload policy; checks shed accounting, drain, and
 # that the final stores equal a closed-batch run of the admitted subset
 dune exec tools/stress.exe -- --serve --seeds 41-48
+# the same open-world arm under the Checked engine: server arrivals land
+# while earlier processes are parked, and every skipped parked waiter is
+# re-derived (missed-wakeup detector) besides the engine cross-check
+dune exec tools/stress.exe -- --serve --seeds 41-48 --check-admission
 # server crash sweep: kill the scheduler at EVERY server-loop step
 # (arrival decisions, enqueues, deadline sheds, queue pumps, all four
 # drain stages) for every policy, and recover through the full oracle

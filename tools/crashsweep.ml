@@ -823,7 +823,9 @@ let page_sweep ~seed ~stride =
    crash mid-subprocess must replay consistently: recovery is handed the
    same group declarations, the recovered history passes the full oracle
    suite, and the surviving local schedules stay commit-order
-   serializable. *)
+   serializable.  The sweep runs the Checked engine, so every admission
+   is cross-checked against the reference oracle and every skipped
+   parked waiter is re-derived (missed-wakeup detector). *)
 
 let composite_procs =
   List.init n_procs (fun i ->
@@ -857,6 +859,7 @@ let composite_sweep ~seed ~stride =
       mode = Scheduler.Deferred;
       seed;
       order = Scheduler.Weak;
+      admission_engine = Scheduler.Checked;
     }
   in
   let spec = Generator.spec params in

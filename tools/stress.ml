@@ -129,7 +129,8 @@ let speclist =
       " differential admission testing: run the incremental engine and the \
        string-based reference oracle side by side on every admission and \
        fail on any divergence in decisions, dependency edges, or \
-       would-cycle verdicts" );
+       would-cycle verdicts, or on a parked waiter found admissible \
+       (missed wakeup); applies to --serve, --churn and --shards too" );
     ("--procs", Arg.Set_int n_procs, "N processes per run (default 8)");
     ( "--horizon",
       Arg.Set_float horizon,
@@ -201,7 +202,10 @@ let speclist =
    purpose: the oracle is that serving is {e transparent} — the subsystem
    stores after a served run must equal a closed-batch run of exactly the
    processes the server admitted (degraded variants included).  Overload
-   may shed work; it must never corrupt what was admitted. *)
+   may shed work; it must never corrupt what was admitted.  Under
+   --check-admission both runs use the Checked engine: arrivals land
+   while earlier processes are parked, which the missed-wakeup detector
+   watches. *)
 let serve_stress () =
   let failures = ref 0 in
   let runs = ref 0 in
@@ -217,7 +221,15 @@ let serve_stress () =
                 { Generator.default_params with services = 8; conflict_density = 0.4 }
               in
               let spec = Generator.spec params in
-              let config = { Scheduler.default_config with seed } in
+              let config =
+                {
+                  Scheduler.default_config with
+                  seed;
+                  admission_engine =
+                    (if !check_admission then Scheduler.Checked
+                     else Scheduler.Incremental);
+                }
+              in
               let mk_tracer () =
                 if !trace_ring then Obs.Tracer.create ~ring_capacity:256 ()
                 else Obs.Tracer.disabled
@@ -243,8 +255,9 @@ let serve_stress () =
                 Generator.arrivals params ~seed:(seed * 100) ~rate ~horizon
               in
               let repro () =
-                Printf.sprintf "seed=%d serve policy=%s load=%.1f" seed policy_name
+                Printf.sprintf "seed=%d serve policy=%s load=%.1f%s" seed policy_name
                   rate
+                  (if !check_admission then " check-admission" else "")
               in
               let dump_forensics () =
                 if !trace_ring then Scheduler.forensics Format.std_formatter sched
