@@ -284,9 +284,11 @@ let section_p1 () =
   Format.printf
     "@.shape: the deferred-2PC protocol (the paper's) commits everything at well@.";
   Format.printf
-    "below serial makespan; conservative delaying deadlocks into stall aborts@.";
+    "below serial makespan; conservative delaying, which waits only on@.";
   Format.printf
-    "under contention — the paper's argument for deferred commits via 2PC.@.";
+    "predecessors that have not committed, commits everything too, a few@.";
+  Format.printf
+    "percent slower — deferred commits via 2PC buy overlap, not liveness.@.";
   Format.printf
     "naive-SR is fast but its histories violate PRED (unrecoverable).@."
 
@@ -320,8 +322,10 @@ let section_p2 () =
   in
   print_table [ "pivot prob"; "scheduler"; "makespan"; "prepared"; "delays" ] rows;
   Format.printf
-    "@.shape: more pivots => more deferred commits; quasi admits some of them@.";
-  Format.printf "immediately once predecessors are forward-recoverable.@."
+    "@.shape: more pivots => more deferred commits (only a pivot behind a live@.";
+  Format.printf
+    "predecessor prepares); quasi admits some of them immediately once@.";
+  Format.printf "predecessors are forward-recoverable.@."
 
 (* P3: weak vs strong order *)
 let section_p3 () =

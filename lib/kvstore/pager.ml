@@ -11,26 +11,25 @@ let () =
 
 (* ------------------------------------------------------------------ *)
 (* CRC32 (IEEE polynomial), private to the pager: the kv layer stays
-   independent of the WAL library, so it carries its own checksum. *)
-
+   independent of the WAL library, so it carries its own checksum.  The
+   table is built eagerly, as in [Crc32]: sharded runs use it from
+   several domains. *)
 let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref (Int32.of_int n) in
-         for _ = 0 to 7 do
-           c :=
-             if Int32.logand !c 1l <> 0l then
-               Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-             else Int32.shift_right_logical !c 1
-         done;
-         !c))
+  Array.init 256 (fun n ->
+      let c = ref (Int32.of_int n) in
+      for _ = 0 to 7 do
+        c :=
+          if Int32.logand !c 1l <> 0l then
+            Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
+          else Int32.shift_right_logical !c 1
+      done;
+      !c)
 
 let crc32 buf pos len =
-  let table = Lazy.force crc_table in
   let c = ref 0xFFFFFFFFl in
   for i = pos to pos + len - 1 do
     let idx = Int32.to_int (Int32.logand (Int32.logxor !c (Int32.of_int (Char.code (Bytes.get buf i)))) 0xFFl) in
-    c := Int32.logxor table.(idx) (Int32.shift_right_logical !c 8)
+    c := Int32.logxor crc_table.(idx) (Int32.shift_right_logical !c 8)
   done;
   Int32.logxor !c 0xFFFFFFFFl
 

@@ -31,6 +31,7 @@ type t = {
   pred : (int, (int, unit) Hashtbl.t) Hashtbl.t;
   ord : (int, int) Hashtbl.t;  (* topological index; DAG edges increase it *)
   back : (int * int, unit) Hashtbl.t;  (* parked cycle-closing edges *)
+  settled : (int, unit) Hashtbl.t;  (* terminated, no live predecessor *)
   mutable next_ord : int;
   mutable sorted_edges : (int * int) list option;  (* memoized [edges] view *)
   mutable check : bool;  (* cross-check every verdict against the oracle *)
@@ -43,6 +44,7 @@ let create () =
     pred = Hashtbl.create 16;
     ord = Hashtbl.create 16;
     back = Hashtbl.create 4;
+    settled = Hashtbl.create 16;
     next_ord = 0;
     sorted_edges = None;
     check = false;
@@ -122,6 +124,7 @@ let rec add_edge t i j =
   if i <> j && status t i <> Aborted && status t j <> Aborted && not (mem_edge t i j)
   then begin
     t.sorted_edges <- None;
+    if live t i then Hashtbl.remove t.settled j;
     ensure_node t i;
     ensure_node t j;
     let oi = ord t i and oj = ord t j in
@@ -248,10 +251,18 @@ let would_cycle t extra =
   end;
   v
 
+let iter_preds t j f =
+  (match Hashtbl.find_opt t.pred j with
+  | Some h -> Hashtbl.iter (fun i () -> f i) h
+  | None -> ());
+  if Hashtbl.length t.back > 0 then
+    Hashtbl.iter (fun (bi, bj) () -> if bj = j then f bi) t.back
+
 (* Reverse reachability from [pid] over exactly the edges the reference
    implementation kept: (i, j) participates iff [live i || j = pid] —
-   committed processes relay only as the last hop into [pid]. *)
-let uncommitted_preds t pid =
+   committed processes relay only as the last hop into [pid].  Kept as
+   the oracle for [uncommitted_preds]. *)
+let uncommitted_preds_reference t pid =
   let seen = Hashtbl.create 8 in
   Hashtbl.replace seen pid ();
   let acc = ref [] in
@@ -276,6 +287,54 @@ let uncommitted_preds t pid =
   in
   go pid;
   List.sort compare !acc
+
+(* The walk [uncommitted_preds] runs.  A terminated direct predecessor
+   relays its live predecessors; once it has none it is [settled] and
+   stays so — terminated processes gain no in-edges and live
+   predecessors can only terminate — so later walks skip its scan.
+   [add_edge] from a live source clears the flag all the same: the memo
+   must not lean on the scheduler's invariant. *)
+let uncommitted_preds_settled t pid =
+  let seen = Hashtbl.create 8 in
+  Hashtbl.replace seen pid ();
+  let acc = ref [] in
+  let rec go j =
+    iter_preds t j (fun i ->
+        if live t i && not (Hashtbl.mem seen i) then begin
+          Hashtbl.replace seen i ();
+          acc := i :: !acc;
+          go i
+        end)
+  in
+  let exception Relays in
+  iter_preds t pid (fun i ->
+      if not (Hashtbl.mem seen i) then
+        if live t i then begin
+          Hashtbl.replace seen i ();
+          acc := i :: !acc;
+          go i
+        end
+        else if not (Hashtbl.mem t.settled i) then begin
+          Hashtbl.replace seen i ();
+          match iter_preds t i (fun k -> if live t k then raise Relays) with
+          | () -> Hashtbl.replace t.settled i ()
+          | exception Relays -> go i
+        end);
+  List.sort compare !acc
+
+let settled t pid = Hashtbl.mem t.settled pid
+
+let uncommitted_preds t pid =
+  let v = uncommitted_preds_settled t pid in
+  if t.check then begin
+    let r = uncommitted_preds_reference t pid in
+    if v <> r then
+      failwith
+        (Printf.sprintf "Deps.uncommitted_preds %d: settled=[%s] reference=[%s]" pid
+           (String.concat "," (List.map string_of_int v))
+           (String.concat "," (List.map string_of_int r)))
+  end;
+  v
 
 (* every stored successor of [pid], parked cycle-closing edges included —
    the scheduler's combined-graph (deps ∪ latent base) DFS walks the live

@@ -39,7 +39,8 @@ val would_cycle_reference : t -> (int * int) list -> bool
 
 val set_check : t -> bool -> unit
 (** Cross-check every {!would_cycle} verdict against
-    {!would_cycle_reference}, failing loudly on divergence. *)
+    {!would_cycle_reference} and every {!uncommitted_preds} result against
+    {!uncommitted_preds_reference}, failing loudly on divergence. *)
 
 val mark_committed : t -> int -> unit
 val mark_aborted : t -> int -> unit
@@ -48,7 +49,21 @@ val mark_aborted : t -> int -> unit
 val committed : t -> int -> bool
 
 val uncommitted_preds : t -> int -> int list
-(** Live predecessors of a process (direct or transitive). *)
+(** Live predecessors of a process: direct ones, and those reaching it
+    along live chains, possibly through one terminated direct
+    predecessor.  A terminated node found without live predecessors is
+    remembered as settled and never rescanned (an edge from a live
+    source clears the mark), so a call costs O(direct predecessors)
+    plus the live region, not O(history). *)
+
+val settled : t -> int -> bool
+(** Whether a walk has marked the process settled: terminated, with no
+    live predecessor. *)
+
+val uncommitted_preds_reference : t -> int -> int list
+(** The unmemoized walk, rescanning every terminated direct
+    predecessor's predecessors — the oracle {!set_check} compares
+    against. *)
 
 val live_succs : t -> int -> int list
 (** Live direct successors. *)

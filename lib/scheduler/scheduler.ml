@@ -1208,6 +1208,17 @@ type admission =
 let exact_ok t (a : Activity.t) =
   Criteria.red (Schedule.append t.hist (Schedule.Act (Activity.Forward a)))
 
+(* Lemma 1 defers a non-compensatable activity only behind conflicting
+   predecessors that have not committed yet.  A committed source of a new
+   edge still orders the schedule (the edge is recorded), but there is no
+   commit left to wait for. *)
+let lemma1_preds t pid new_edges =
+  List.sort_uniq compare
+    (Deps.uncommitted_preds t.deps pid
+    @ List.filter_map
+        (fun (i, _) -> if Deps.committed t.deps i then None else Some i)
+        new_edges)
+
 (* Admission is split into pure decision functions returning the decision
    plus the dependency edges to record, applied by [admission] below only
    when the activity is admitted — so the incremental engine and the
@@ -1347,19 +1358,16 @@ let admission_decision t pid act =
           (* serializability-only: admit immediately, never gate on recovery *)
           (Admit_invoke, new_edges, admit_reason (), None)
         else if Activity.non_compensatable a && not t.no_lemma1 then begin
-          let preds =
-            List.sort_uniq compare
-              (Deps.uncommitted_preds t.deps pid @ List.map fst new_edges)
-          in
+          let preds = lemma1_preds t pid new_edges in
           if t.cfg.exact_admission && not (exact_ok t a) then
             (Delay (List.sort_uniq compare (List.map fst new_edges)), [], Obs.Exact_reject, None)
           else if preds = [] then (Admit_invoke, new_edges, admit_reason (), None)
           else
             match t.cfg.mode with
             | Conservative ->
-                (* an unchanged predecessor stays a predecessor: a stored edge
-                   leaves only by removal, a committed source's occurrences
-                   stay put *)
+                (* an unchanged predecessor stays a live predecessor: a
+                   stored edge leaves only by removal, and its source's
+                   commit or abort stamps it *)
                 (Delay preds, [], Obs.Conservative_wait, Some preds)
             | Deferred -> (Admit_prepare, new_edges, Obs.Deferred_prepare, None)
             | Quasi ->
@@ -1551,7 +1559,12 @@ module Reference = struct
       else if Activity.non_compensatable a && not t.no_lemma1 then begin
         let preds =
           List.sort_uniq compare
-            (Deps.uncommitted_preds t.deps pid @ List.map fst new_edges)
+            (Deps.uncommitted_preds_reference t.deps pid
+            @ List.filter_map
+                (fun (i, _) ->
+                  if (Hashtbl.find t.procs i).term = Schedule.Committed then None
+                  else Some i)
+                new_edges)
         in
         if t.cfg.exact_admission && not (exact_ok t a) then
           (Delay (List.sort_uniq compare (List.map fst new_edges)), [])

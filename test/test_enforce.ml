@@ -410,11 +410,11 @@ let test_checked_engine_groups_enforcement () =
 (* -------------------------------------------------------------------- *)
 
 (* A generated workload (density, failures and durations drawn from the
-   seed) under the weak order, with every admission decided by both
-   engines: any Incremental/Reference divergence fails the run, and the
-   run must finish with a PRED history and commit-order serializable
-   locals. *)
-let weak_checked_run ~mode seed =
+   seed) under the weak order (or, with [~order], the strong one), with
+   every admission decided by both engines: any Incremental/Reference
+   divergence fails the run, and the run must finish with a PRED history
+   and commit-order serializable locals. *)
+let weak_checked_run ?(order = Scheduler.Weak) ~mode seed =
   let rng = Tpm_sim.Prng.create seed in
   let params =
     {
@@ -431,7 +431,7 @@ let weak_checked_run ~mode seed =
       Scheduler.default_config with
       mode;
       seed;
-      order = Scheduler.Weak;
+      order;
       admission_engine = Scheduler.Checked;
       stochastic_times = true;
     }
@@ -444,16 +444,22 @@ let weak_checked_run ~mode seed =
   let h = Scheduler.history t in
   Scheduler.finished t && Schedule.legal h && Criteria.pred h && locals_cos t
 
-(* Conservative mode is left out: it violates PRED on rare seeds under
-   either order (a stall-abort's forward completion bypasses admission),
-   a defect independent of the weak order. *)
+(* All three modes rotate through the property.  Conservative once
+   violated PRED on rare seeds because it waited on predecessors that had
+   already committed; stall resolution then aborted an F-REC process
+   whose forward completion conflicted with a live process.  Those seeds
+   are pinned below. *)
 let weak_checked_property =
   QCheck.Test.make ~name:"weak order under the checked engine stays PRED, locals COS"
     ~count:40
     (QCheck.make ~print:string_of_int (QCheck.Gen.int_bound 100_000))
     (fun seed ->
       weak_checked_run seed
-        ~mode:(if seed mod 2 = 0 then Scheduler.Deferred else Scheduler.Quasi))
+        ~mode:
+          (match seed mod 3 with
+          | 0 -> Scheduler.Deferred
+          | 1 -> Scheduler.Quasi
+          | _ -> Scheduler.Conservative))
 
 (* Seeds on which the property found quasi-commits admitted behind a
    predecessor's conflicting in-flight activity, whose compensation then
@@ -464,6 +470,24 @@ let test_quasi_behind_inflight_pred () =
       check Alcotest.bool (Printf.sprintf "seed %d PRED, locals COS" seed) true
         (weak_checked_run ~mode:Scheduler.Quasi seed))
     [ 1568; 5006; 9726 ]
+
+(* Seeds on which Conservative, waiting on committed predecessors, was
+   driven into a stall-abort whose forward completion broke PRED: all six
+   under the weak order, and 216, 4868, 8903 and 22418 under the strong
+   order too. *)
+let test_conservative_committed_preds () =
+  List.iter
+    (fun order ->
+      List.iter
+        (fun seed ->
+          check Alcotest.bool
+            (Printf.sprintf "%s seed %d PRED, locals COS"
+               (if order = Scheduler.Weak then "weak" else "strong")
+               seed)
+            true
+            (weak_checked_run ~order ~mode:Scheduler.Conservative seed))
+        [ 216; 4868; 8903; 1191; 9451; 22418 ])
+    [ Scheduler.Weak; Scheduler.Strong ]
 
 let suite =
   [
@@ -484,5 +508,7 @@ let suite =
       test_checked_engine_groups_enforcement;
     Alcotest.test_case "quasi-commit waits out conflicting in-flight predecessors" `Quick
       test_quasi_behind_inflight_pred;
+    Alcotest.test_case "conservative ignores committed predecessors" `Quick
+      test_conservative_committed_preds;
     QCheck_alcotest.to_alcotest weak_checked_property;
   ]

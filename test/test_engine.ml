@@ -3,7 +3,8 @@
      (all pairs, self-conflicts, effect-free marks, late interning);
    - Pearce–Kelly dependency tracking ([Deps]) agrees with the
      from-scratch Digraph oracle on would-cycle verdicts and maintains a
-     valid topological order across inserts, aborts and commits;
+     valid topological order across inserts, aborts and commits, and
+     its memoized predecessor walk agrees with the unmemoized one;
    - the indexed [Reduction.cancel_compensation_pairs] handles a
      1000-event schedule well under a second (the old implementation
      rescanned the interval per pair, quadratically). *)
@@ -80,16 +81,25 @@ let pk_agrees_with_oracle =
       let rng = Prng.create seed in
       let n = 3 + Prng.int rng 6 in
       let t = Deps.create () in
-      Deps.set_check t true (* every would_cycle self-checks vs the oracle *);
+      (* every would_cycle and uncommitted_preds self-checks vs its oracle *)
+      Deps.set_check t true;
       for pid = 1 to n do
         Deps.add_process t pid
       done;
       let steps = 5 + Prng.int rng 25 in
       for _ = 1 to steps do
         let i = 1 + Prng.int rng n and j = 1 + Prng.int rng n in
-        match Prng.int rng 10 with
+        (match Prng.int rng 10 with
         | 0 -> Deps.mark_aborted t i
         | 1 -> Deps.mark_committed t i
+        | 2 -> (
+            (* an edge into a committed node — the scheduler never adds
+               one, but the settled memo must survive it *)
+            match List.filter (Deps.committed t) (List.init n (fun k -> k + 1)) with
+            | [] -> ()
+            | cs ->
+                let j = List.nth cs (Prng.int rng (List.length cs)) in
+                if i <> j && not (Deps.would_cycle t [ (i, j) ]) then Deps.add_edge t i j)
         | _ ->
             if i <> j then begin
               (* mirror the scheduler: check first, insert only safe edges
@@ -102,7 +112,11 @@ let pk_agrees_with_oracle =
                   (1 + Prng.int rng n, 1 + Prng.int rng n))
               |> List.filter (fun (a, b) -> a <> b)
             in
-            ignore (Deps.would_cycle t batch)
+            ignore (Deps.would_cycle t batch));
+        (* every walk, memoized or not, is cross-checked by set_check *)
+        for pid = 1 to n do
+          ignore (Deps.uncommitted_preds t pid)
+        done
       done;
       (* the maintained order topologically sorts the surviving edges *)
       if not (Deps.would_cycle t []) then begin
@@ -150,6 +164,29 @@ let pk_preds_and_succs () =
   Deps.mark_aborted t 4;
   Alcotest.(check (list int)) "aborted pred dropped" [ 2 ] (Deps.uncommitted_preds t 3);
   Alcotest.(check (list int)) "live succs of 2" [ 3 ] (Deps.live_succs t 2)
+
+let settled_lifecycle () =
+  let t = Deps.create () in
+  List.iter (Deps.add_process t) [ 1; 2; 3; 4 ];
+  Deps.add_edge t 1 2;
+  Deps.add_edge t 2 3;
+  Deps.mark_committed t 2;
+  Alcotest.(check (list int)) "committed 2 relays its live predecessor" [ 1 ]
+    (Deps.uncommitted_preds t 3);
+  Alcotest.(check bool) "2 not settled while 1 is live" false (Deps.settled t 2);
+  Deps.mark_committed t 1;
+  Alcotest.(check (list int)) "nothing left to wait for" [] (Deps.uncommitted_preds t 3);
+  Alcotest.(check bool) "2 settled once 1 committed" true (Deps.settled t 2);
+  Deps.add_edge t 1 2 (* duplicate, from a committed source: stays settled *);
+  Alcotest.(check bool) "still settled" true (Deps.settled t 2);
+  Deps.add_edge t 4 2;
+  Alcotest.(check bool) "an edge from live 4 clears the mark" false (Deps.settled t 2);
+  Alcotest.(check (list int)) "2 relays 4 again" [ 4 ] (Deps.uncommitted_preds t 3);
+  Alcotest.(check (list int)) "agrees with the reference" (Deps.uncommitted_preds_reference t 3)
+    (Deps.uncommitted_preds t 3);
+  Deps.mark_aborted t 4;
+  Alcotest.(check (list int)) "aborted 4 drops out" [] (Deps.uncommitted_preds t 3);
+  Alcotest.(check bool) "settled again" true (Deps.settled t 2)
 
 let pk_reorder_stress () =
   (* adversarial insertion order: edges always run against the current
@@ -209,6 +246,7 @@ let suite =
     QCheck_alcotest.to_alcotest pk_agrees_with_oracle;
     Alcotest.test_case "deps: parked cycle-closing edge" `Quick parked_back_edge;
     Alcotest.test_case "deps: preds/succs across terminals" `Quick pk_preds_and_succs;
+    Alcotest.test_case "deps: settled predecessor lifecycle" `Quick settled_lifecycle;
     Alcotest.test_case "deps: adversarial reorder chain" `Quick pk_reorder_stress;
     Alcotest.test_case "reduction: 1000-event schedule in budget" `Quick
       reduction_1k_events;

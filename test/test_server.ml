@@ -320,6 +320,64 @@ let test_crash_mid_serve_recovers () =
       check Alcotest.bool "recovered run finished" true (Scheduler.finished t2);
       check Alcotest.bool "recovered history PRED" true (Criteria.pred (Scheduler.history t2))
 
+(* --- Lemma 1 defers only behind live predecessors --- *)
+
+(* Fifty copies of a compensatable step followed by a pivot, each served
+   alone: every conflicting predecessor has committed by the time the
+   next pivot is admitted, so Lemma 1 has nothing to wait for.  The pivot
+   is invoked directly — no prepare, no 2PC coordinator — and each
+   process logs exactly register, one invocation per activity, the
+   commit request and the commit. *)
+let test_sequential_pivots_skip_2pc () =
+  let params = { Generator.default_params with services = 2; subsystems = 1 } in
+  let spec = Generator.spec { params with Generator.conflict_density = 0.0 } in
+  let rms = Generator.rms params () in
+  let sched =
+    Scheduler.create ~config:{ Scheduler.default_config with mode = Scheduler.Deferred }
+      ~spec ~rms ()
+  in
+  let srv = Server.create sched in
+  let n = 50 and k = 2 in
+  for pid = 1 to n do
+    let act a service kind =
+      Activity.make ~proc:pid ~act:a ~service ~kind ~subsystem:"ss0" ()
+    in
+    let proc =
+      Process.make_exn ~pid
+        ~activities:[ act 1 "svc0" Activity.Compensatable; act 2 "svc1" Activity.Pivot ]
+        ~prec:[ (1, 2) ] ~pref:[]
+    in
+    ignore (Server.offer srv proc);
+    Server.run srv;
+    check Alcotest.bool (Printf.sprintf "P%d committed" pid) true
+      (Scheduler.finished sched)
+  done;
+  let h = Scheduler.history sched in
+  check Alcotest.bool "history PRED" true (Criteria.pred h);
+  let m = Scheduler.metrics sched in
+  check Alcotest.int "no 2PC rounds" 0
+    (Tpm_sim.Metrics.count m "twopc_commits" + Tpm_sim.Metrics.count m "twopc_aborts");
+  check Alcotest.int "nothing prepared" 0 (Tpm_sim.Metrics.count m "prepared");
+  let records = Scheduler.wal_records sched in
+  check Alcotest.int "no coordinator instance" 0
+    (List.length (List.filter (function Wal.Coord_begin _ -> true | _ -> false) records));
+  check Alcotest.int "records per process" ((3 + k) * n) (List.length records);
+  for pid = 1 to n do
+    let own =
+      List.filter
+        (function
+          | Wal.Process_registered p | Wal.Commit_requested p | Wal.Process_committed p ->
+              p = pid
+          | Wal.Invoked { pid = p; _ } -> p = pid
+          | _ -> false)
+        records
+    in
+    check Alcotest.bool (Printf.sprintf "P%d logs register, invocations, commit" pid) true
+      (own
+      = [ Wal.Process_registered pid; Wal.Invoked { pid; act = 1 }; Wal.Invoked { pid; act = 2 };
+          Wal.Commit_requested pid; Wal.Process_committed pid ])
+  done
+
 (* --- Lang front-end and the wire protocol --- *)
 
 let test_offer_text () =
@@ -382,6 +440,7 @@ let test_wire_protocol () =
 
 let suite =
   [
+    Alcotest.test_case "sequential pivots skip 2PC" `Quick test_sequential_pivots_skip_2pc;
     Alcotest.test_case "underload admits all" `Quick test_underload_admits_all;
     Alcotest.test_case "reject policy sheds" `Quick test_reject_policy_sheds;
     Alcotest.test_case "queue bounds and expiry" `Quick test_queue_policy_bounds_and_expiry;

@@ -63,6 +63,12 @@ dune exec tools/stress.exe -- --serve --seeds 41-48
 # while earlier processes are parked, and every skipped parked waiter is
 # re-derived (missed-wakeup detector) besides the engine cross-check
 dune exec tools/stress.exe -- --serve --seeds 41-48 --check-admission
+# the same Checked arm over a long history: a 200-vt arrival horizon
+# leaves hundreds of terminated processes behind each admission, so the
+# memoized predecessor walk (settled committed nodes) and Lemma 1's
+# live-predecessor rule are cross-checked against their references where
+# the memo actually carries weight
+dune exec tools/stress.exe -- --serve --seeds 41-44 --check-admission --serve-horizon 200
 # server crash sweep: kill the scheduler at EVERY server-loop step
 # (arrival decisions, enqueues, deadline sheds, queue pumps, all four
 # drain stages) for every policy, and recover through the full oracle

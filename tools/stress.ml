@@ -54,6 +54,7 @@ let parse_seeds s =
 
 let serve_mode = ref false
 let offered_loads = ref [ 2.0; 8.0 ]
+let serve_horizon = ref 20.0
 let overload_policies = ref [ "reject"; "queue"; "degrade" ]
 let seeds = ref (parse_seeds "41-120")
 let modes = ref [ "conservative"; "deferred"; "quasi" ]
@@ -165,6 +166,13 @@ let speclist =
           offered_loads := l),
       "LIST offered loads (arrivals per unit virtual time) for --serve \
        (default 2.0,8.0)" );
+    ( "--serve-horizon",
+      Arg.Float
+        (fun h ->
+          if h <= 0.0 then raise (Arg.Bad "serve horizon must be positive");
+          serve_horizon := h),
+      "T virtual-time span of the --serve arrival scripts (default 20); a \
+       long horizon builds a history of hundreds of terminated processes" );
     ( "--shards",
       Arg.Set_int shards_opt,
       "N sharded stress: partition clustered workloads by conflict \
@@ -250,13 +258,12 @@ let serve_stress () =
                     }
                   sched
               in
-              let horizon = 20.0 in
               let script =
-                Generator.arrivals params ~seed:(seed * 100) ~rate ~horizon
+                Generator.arrivals params ~seed:(seed * 100) ~rate ~horizon:!serve_horizon
               in
               let repro () =
-                Printf.sprintf "seed=%d serve policy=%s load=%.1f%s" seed policy_name
-                  rate
+                Printf.sprintf "seed=%d serve policy=%s load=%.1f horizon=%g%s" seed
+                  policy_name rate !serve_horizon
                   (if !check_admission then " check-admission" else "")
               in
               let dump_forensics () =
