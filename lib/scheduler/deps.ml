@@ -18,7 +18,18 @@
    DAG (they have no valid position in the order); they are parked in
    [back] and retried whenever an abort removes edges.  While [back] is
    non-empty the graph *is* cyclic, and [would_cycle] answers [true]
-   outright, which keeps its verdicts exact. *)
+   outright, which keeps its verdicts exact.
+
+   Retirement (DESIGN §8).  A process *retires* once it has terminated
+   and every predecessor has retired (aborted ones leave no edges).  Such
+   a process cannot lie on a future cycle: terminated processes gain no
+   in-edges, and its ancestors are all terminated.  It leaves the order
+   ([ord]) and drops its in-edges — they all come from retired sources —
+   and an edge whose source is retired is never stored.  Its out-edges
+   into unretired targets stay until those targets retire.  So the
+   stored graph tracks the unretired processes, not the history.  The
+   caller may [hold] a terminated process unretired (the scheduler does
+   while an abandoned invocation is still in flight). *)
 
 type status =
   | Live
@@ -31,7 +42,10 @@ type t = {
   pred : (int, (int, unit) Hashtbl.t) Hashtbl.t;
   ord : (int, int) Hashtbl.t;  (* topological index; DAG edges increase it *)
   back : (int * int, unit) Hashtbl.t;  (* parked cycle-closing edges *)
-  settled : (int, unit) Hashtbl.t;  (* terminated, no live predecessor *)
+  retired : (int, unit) Hashtbl.t;
+  held : (int, unit) Hashtbl.t;  (* terminated, kept unretired by the caller *)
+  mutable retired_rev : int list;  (* retirement order, newest first *)
+  mutable on_retire : int -> unit;
   mutable next_ord : int;
   mutable sorted_edges : (int * int) list option;  (* memoized [edges] view *)
   mutable check : bool;  (* cross-check every verdict against the oracle *)
@@ -44,13 +58,18 @@ let create () =
     pred = Hashtbl.create 16;
     ord = Hashtbl.create 16;
     back = Hashtbl.create 4;
-    settled = Hashtbl.create 16;
+    retired = Hashtbl.create 16;
+    held = Hashtbl.create 4;
+    retired_rev = [];
+    on_retire = ignore;
     next_ord = 0;
     sorted_edges = None;
     check = false;
   }
 
 let set_check t b = t.check <- b
+let set_on_retire t f = t.on_retire <- f
+let retired t pid = Hashtbl.mem t.retired pid
 
 let adj tbl n =
   match Hashtbl.find_opt tbl n with
@@ -67,19 +86,21 @@ let ensure_node t n =
   end
 
 let add_process t pid =
-  ensure_node t pid;
+  if not (retired t pid) then ensure_node t pid;
   if not (Hashtbl.mem t.status pid) then Hashtbl.replace t.status pid Live
 
 let status t pid = Option.value ~default:Live (Hashtbl.find_opt t.status pid)
 let live t pid = status t pid = Live
 let committed t pid = status t pid = Committed
-let mark_committed t pid = Hashtbl.replace t.status pid Committed
 
 let dag_mem t i j =
   match Hashtbl.find_opt t.succ i with Some h -> Hashtbl.mem h j | None -> false
 
 let mem_edge t i j = dag_mem t i j || Hashtbl.mem t.back (i, j)
 let ord t n = Hashtbl.find t.ord n
+
+(* a retired node has no position: it precedes every positioned node *)
+let ord_or_min t n = Option.value ~default:min_int (Hashtbl.find_opt t.ord n)
 
 let insert_dag t i j =
   Hashtbl.replace (adj t.succ i) j ();
@@ -113,18 +134,103 @@ let discover_backward t ~lb start =
     match Hashtbl.find_opt t.pred n with
     | None -> ()
     | Some h ->
-        Hashtbl.iter (fun k () -> if ord t k > lb && not (Hashtbl.mem seen k) then go k) h
+        Hashtbl.iter
+          (fun k () -> if ord_or_min t k > lb && not (Hashtbl.mem seen k) then go k)
+          h
   in
   go start;
   seen
 
-let rec add_edge t i j =
-  (* aborted processes left no effects and never rejoin: such edges would
-     be filtered by every query, so never store them *)
-  if i <> j && status t i <> Aborted && status t j <> Aborted && not (mem_edge t i j)
+(* every stored predecessor / successor, parked cycle-closing edges
+   included *)
+let iter_preds t j f =
+  (match Hashtbl.find_opt t.pred j with
+  | Some h -> Hashtbl.iter (fun i () -> f i) h
+  | None -> ());
+  if Hashtbl.length t.back > 0 then
+    Hashtbl.iter (fun (bi, bj) () -> if bj = j then f bi) t.back
+
+(* the scheduler's combined-graph (deps ∪ latent base) DFS walks the live
+   tables instead of copying the adjacency *)
+let iter_succs t pid f =
+  (match Hashtbl.find_opt t.succ pid with
+  | Some h -> Hashtbl.iter (fun j () -> f j) h
+  | None -> ());
+  if Hashtbl.length t.back > 0 then
+    Hashtbl.iter (fun (bi, bj) () -> if bi = pid then f bj) t.back
+
+let succs t pid =
+  let l = ref [] in
+  iter_succs t pid (fun j -> l := j :: !l);
+  !l
+
+(* the DAG neighbours of [n] in [tbl] ([t.succ] or [t.pred]) *)
+let neighbours tbl n =
+  match Hashtbl.find_opt tbl n with
+  | Some h -> Hashtbl.fold (fun k () l -> k :: l) h []
+  | None -> []
+
+(* remove [i -> j] from the DAG tables, dropping tables left empty *)
+let remove_dag t i j =
+  let drop tbl a b =
+    match Hashtbl.find_opt tbl a with
+    | Some h ->
+        Hashtbl.remove h b;
+        if Hashtbl.length h = 0 then Hashtbl.remove tbl a
+    | None -> ()
+  in
+  drop t.succ i j;
+  drop t.pred j i
+
+(* Retire [n] if it qualifies, then every terminated successor that was
+   waiting on it.  A retired node's in-edges all come from retired
+   sources, so they are dropped with its position; its out-edges stay
+   until their targets retire. *)
+let rec settle t n =
+  if
+    status t n <> Live
+    && (not (retired t n))
+    && (not (Hashtbl.mem t.held n))
+    &&
+    let exception Unretired in
+    match iter_preds t n (fun i -> if not (retired t i) then raise Unretired) with
+    | () -> true
+    | exception Unretired -> false
+  then begin
+    Hashtbl.replace t.retired n ();
+    t.retired_rev <- n :: t.retired_rev;
+    List.iter (fun i -> remove_dag t i n) (neighbours t.pred n);
+    Hashtbl.remove t.ord n;
+    t.sorted_edges <- None;
+    t.on_retire n;
+    List.iter (settle t) (succs t n)
+  end
+
+(* An edge into a retired node (never from the scheduler, whose edges
+   always target a live process) brings it back: it takes a fresh
+   position at the end of the order and its out-edges are re-inserted
+   through the order maintenance. *)
+let rec unretire t j =
+  Hashtbl.remove t.retired j;
+  t.retired_rev <- List.filter (fun n -> n <> j) t.retired_rev;
+  ensure_node t j;
+  let out = neighbours t.succ j in
+  List.iter (fun k -> remove_dag t j k) out;
+  List.iter (fun k -> add_edge t j k) out
+
+and add_edge t i j =
+  (* aborted processes left no effects and never rejoin, and a retired
+     source can no longer be ordered after anything unretired: such
+     edges are never stored *)
+  if
+    i <> j
+    && status t i <> Aborted
+    && status t j <> Aborted
+    && (not (retired t i))
+    && not (mem_edge t i j)
   then begin
     t.sorted_edges <- None;
-    if live t i then Hashtbl.remove t.settled j;
+    if retired t j then unretire t j;
     ensure_node t i;
     ensure_node t j;
     let oi = ord t i and oj = ord t j in
@@ -147,20 +253,17 @@ let rec add_edge t i j =
           insert_dag t i j
   end
 
-and mark_aborted t pid =
+let mark_committed t pid =
+  Hashtbl.replace t.status pid Committed;
+  settle t pid
+
+let mark_aborted t pid =
   Hashtbl.replace t.status pid Aborted;
   t.sorted_edges <- None;
+  let former = succs t pid in
   (* aborted processes left no effects: drop their edges *)
-  (match Hashtbl.find_opt t.succ pid with
-  | Some h ->
-      Hashtbl.iter (fun k () -> Hashtbl.remove (adj t.pred k) pid) h;
-      Hashtbl.reset h
-  | None -> ());
-  (match Hashtbl.find_opt t.pred pid with
-  | Some h ->
-      Hashtbl.iter (fun k () -> Hashtbl.remove (adj t.succ k) pid) h;
-      Hashtbl.reset h
-  | None -> ());
+  List.iter (fun k -> remove_dag t pid k) (neighbours t.succ pid);
+  List.iter (fun k -> remove_dag t k pid) (neighbours t.pred pid);
   (* with edges gone, parked cycle-closing edges may have become
      insertable: retry them all (the table is almost always empty) *)
   if Hashtbl.length t.back > 0 then begin
@@ -169,7 +272,61 @@ and mark_aborted t pid =
     in
     Hashtbl.reset t.back;
     List.iter (fun (i, j) -> if i <> pid && j <> pid then add_edge t i j) parked
+  end;
+  settle t pid;
+  List.iter (settle t) former
+
+let hold t pid = Hashtbl.replace t.held pid ()
+
+let release t pid =
+  if Hashtbl.mem t.held pid then begin
+    Hashtbl.remove t.held pid;
+    settle t pid
   end
+
+(* The oracle for [retired]: the least fixpoint of the retirement rule
+   over the stored graph, from scratch — a node is retired iff it is
+   terminated, not held, and every stored predecessor is retired.  So a
+   node with a live, held or cycle-bound ancestor never is. *)
+let retired_reference t =
+  let r = Hashtbl.create 16 in
+  let nodes = Hashtbl.fold (fun n _ acc -> n :: acc) t.status [] in
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    List.iter
+      (fun n ->
+        if
+          (not (Hashtbl.mem r n))
+          && status t n <> Live
+          && (not (Hashtbl.mem t.held n))
+          &&
+          let ok = ref true in
+          iter_preds t n (fun i -> if not (Hashtbl.mem r i) then ok := false);
+          !ok
+        then begin
+          Hashtbl.replace r n ();
+          changed := true
+        end)
+      nodes
+  done;
+  List.sort compare (Hashtbl.fold (fun n () acc -> n :: acc) r [])
+
+let check_retirement t =
+  let got = List.sort compare (Hashtbl.fold (fun n () acc -> n :: acc) t.retired []) in
+  let want = retired_reference t in
+  if got <> want then
+    failwith
+      (Printf.sprintf "Deps.retired: incremental=[%s] reference=[%s]"
+         (String.concat "," (List.map string_of_int got))
+         (String.concat "," (List.map string_of_int want)));
+  Hashtbl.iter
+    (fun j _ -> if retired t j then failwith (Printf.sprintf "Deps: stored edge into retired %d" j))
+    t.pred;
+  Hashtbl.iter
+    (fun (_, j) () ->
+      if retired t j then failwith (Printf.sprintf "Deps: parked edge into retired %d" j))
+    t.back
 
 let all_edges_unsorted t =
   let acc = Hashtbl.fold (fun e () acc -> e :: acc) t.back [] in
@@ -207,7 +364,9 @@ let would_cycle_incremental t extra =
         (fun (i, j) -> i <> j && (not (gone i)) && (not (gone j)) && not (dag_mem t i j))
         extra
     in
-    let ordv n = Option.value ~default:max_int (Hashtbl.find_opt t.ord n) in
+    (* unpositioned nodes — retired or unknown — have no stored in-edge,
+       so they may go first *)
+    let ordv = ord_or_min t in
     if List.for_all (fun (i, j) -> ordv i < ordv j) extra then
       (* every extra edge runs forward in the maintained order, and so
          does every stored edge: the union is acyclic *)
@@ -251,13 +410,6 @@ let would_cycle t extra =
   end;
   v
 
-let iter_preds t j f =
-  (match Hashtbl.find_opt t.pred j with
-  | Some h -> Hashtbl.iter (fun i () -> f i) h
-  | None -> ());
-  if Hashtbl.length t.back > 0 then
-    Hashtbl.iter (fun (bi, bj) () -> if bj = j then f bi) t.back
-
 (* Reverse reachability from [pid] over exactly the edges the reference
    implementation kept: (i, j) participates iff [live i || j = pid] —
    committed processes relay only as the last hop into [pid].  Kept as
@@ -288,13 +440,10 @@ let uncommitted_preds_reference t pid =
   go pid;
   List.sort compare !acc
 
-(* The walk [uncommitted_preds] runs.  A terminated direct predecessor
-   relays its live predecessors; once it has none it is [settled] and
-   stays so — terminated processes gain no in-edges and live
-   predecessors can only terminate — so later walks skip its scan.
-   [add_edge] from a live source clears the flag all the same: the memo
-   must not lean on the scheduler's invariant. *)
-let uncommitted_preds_settled t pid =
+(* The walk [uncommitted_preds] runs: the reference walk, skipping
+   retired direct predecessors — they have no predecessors left to
+   relay. *)
+let uncommitted_preds_walk t pid =
   let seen = Hashtbl.create 8 in
   Hashtbl.replace seen pid ();
   let acc = ref [] in
@@ -306,50 +455,25 @@ let uncommitted_preds_settled t pid =
           go i
         end)
   in
-  let exception Relays in
   iter_preds t pid (fun i ->
-      if not (Hashtbl.mem seen i) then
-        if live t i then begin
-          Hashtbl.replace seen i ();
-          acc := i :: !acc;
-          go i
-        end
-        else if not (Hashtbl.mem t.settled i) then begin
-          Hashtbl.replace seen i ();
-          match iter_preds t i (fun k -> if live t k then raise Relays) with
-          | () -> Hashtbl.replace t.settled i ()
-          | exception Relays -> go i
-        end);
+      if not (Hashtbl.mem seen i || retired t i) then begin
+        Hashtbl.replace seen i ();
+        if live t i then acc := i :: !acc;
+        go i
+      end);
   List.sort compare !acc
 
-let settled t pid = Hashtbl.mem t.settled pid
-
 let uncommitted_preds t pid =
-  let v = uncommitted_preds_settled t pid in
+  let v = uncommitted_preds_walk t pid in
   if t.check then begin
     let r = uncommitted_preds_reference t pid in
     if v <> r then
       failwith
-        (Printf.sprintf "Deps.uncommitted_preds %d: settled=[%s] reference=[%s]" pid
+        (Printf.sprintf "Deps.uncommitted_preds %d: walk=[%s] reference=[%s]" pid
            (String.concat "," (List.map string_of_int v))
            (String.concat "," (List.map string_of_int r)))
   end;
   v
-
-(* every stored successor of [pid], parked cycle-closing edges included —
-   the scheduler's combined-graph (deps ∪ latent base) DFS walks the live
-   tables instead of copying the adjacency *)
-let iter_succs t pid f =
-  (match Hashtbl.find_opt t.succ pid with
-  | Some h -> Hashtbl.iter (fun j () -> f j) h
-  | None -> ());
-  if Hashtbl.length t.back > 0 then
-    Hashtbl.iter (fun (bi, bj) () -> if bi = pid then f bj) t.back
-
-let succs t pid =
-  let l = ref [] in
-  iter_succs t pid (fun j -> l := j :: !l);
-  !l
 
 (* GC for parked cycle-closing edges both of whose endpoints terminated.
    Such an edge records a serialization-order violation that is now pure
@@ -359,7 +483,8 @@ let succs t pid =
    [true] for every admission, wedging a long-lived server.  Edges with a
    live endpoint are kept: they still constrain future admissions.
    (Aborted endpoints never reach here — [mark_aborted] already drops
-   their edges.)  Returns the number of edges dropped. *)
+   their edges.)  A dropped edge's target may retire now.  Returns the
+   number of edges dropped. *)
 let compact t =
   if Hashtbl.length t.back = 0 then 0
   else begin
@@ -371,25 +496,25 @@ let compact t =
     in
     if victims <> [] then begin
       List.iter (fun e -> Hashtbl.remove t.back e) victims;
-      t.sorted_edges <- None
+      t.sorted_edges <- None;
+      List.iter (fun (_, j) -> settle t j) (List.sort compare victims)
     end;
     List.length victims
   end
 
-let live_succs t pid =
-  let base =
-    match Hashtbl.find_opt t.succ pid with
-    | Some h -> Hashtbl.fold (fun j () l -> j :: l) h []
-    | None -> []
-  in
-  let all =
-    if Hashtbl.length t.back = 0 then base
-    else Hashtbl.fold (fun (bi, bj) () l -> if bi = pid then bj :: l else l) t.back base
-  in
-  List.filter (live t) all |> List.sort_uniq compare
+let live_succs t pid = List.filter (live t) (succs t pid) |> List.sort_uniq compare
 
+(* retired committed processes in retirement order — each retired after
+   all its predecessors, and nothing unretired precedes one — then the
+   maintained order over the unretired rest *)
 let order t =
-  Hashtbl.fold
-    (fun n o acc -> if status t n <> Aborted then (o, n) :: acc else acc)
-    t.ord []
-  |> List.sort compare |> List.map snd
+  let retired_part =
+    List.fold_left
+      (fun acc n -> if status t n = Committed then n :: acc else acc)
+      [] t.retired_rev
+  in
+  retired_part
+  @ (Hashtbl.fold
+       (fun n o acc -> if status t n <> Aborted then (o, n) :: acc else acc)
+       t.ord []
+    |> List.sort compare |> List.map snd)

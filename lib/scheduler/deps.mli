@@ -9,7 +9,12 @@
 
     The implementation maintains a dynamic topological order
     (Pearce–Kelly): edge inserts are O(1) amortized and {!would_cycle}
-    usually answers from the order alone, without graph traversal. *)
+    usually answers from the order alone, without graph traversal.
+
+    A terminated process whose predecessors have all retired {e retires}
+    (DESIGN §8): it leaves the order, its in-edges are dropped, and no
+    edge from it is stored again.  The stored graph therefore tracks the
+    unretired processes, not the history. *)
 
 type t
 
@@ -20,7 +25,10 @@ val add_edge : t -> int -> int -> unit
 (** O(1) amortized (hash-set duplicate detection; a bounded local reorder
     when the edge runs against the maintained order).  An edge that
     closes a cycle — only rollback completions insert unchecked — is
-    parked and reflected by {!would_cycle} until an abort clears it. *)
+    parked and reflected by {!would_cycle} until an abort clears it.  An
+    edge from a retired or aborted source, or into an aborted target, is
+    not stored; an edge into a retired target un-retires it (the
+    scheduler never adds one). *)
 
 val edges : t -> (int * int) list
 (** Sorted view, memoized until the next mutation. *)
@@ -44,25 +52,41 @@ val set_check : t -> bool -> unit
 
 val mark_committed : t -> int -> unit
 val mark_aborted : t -> int -> unit
-(** Aborted processes left no effects: their edges are dropped. *)
+(** Aborted processes left no effects: their edges are dropped.  Both
+    retire the process if it qualifies and cascade to its terminated
+    successors. *)
+
+val retired : t -> int -> bool
+(** Terminated, not held, and every predecessor retired. *)
+
+val set_on_retire : t -> (int -> unit) -> unit
+(** Called once per retirement, in retirement order. *)
+
+val hold : t -> int -> unit
+val release : t -> int -> unit
+(** [hold] keeps a process unretired until [release] (which retires it
+    if it then qualifies). *)
+
+val retired_reference : t -> int list
+(** The retired set re-derived from scratch (least fixpoint of the rule
+    over the stored graph), sorted. *)
+
+val check_retirement : t -> unit
+(** Fails unless the maintained retired set equals
+    {!retired_reference}. *)
 
 val committed : t -> int -> bool
 
 val uncommitted_preds : t -> int -> int list
 (** Live predecessors of a process: direct ones, and those reaching it
     along live chains, possibly through one terminated direct
-    predecessor.  A terminated node found without live predecessors is
-    remembered as settled and never rescanned (an edge from a live
-    source clears the mark), so a call costs O(direct predecessors)
-    plus the live region, not O(history). *)
-
-val settled : t -> int -> bool
-(** Whether a walk has marked the process settled: terminated, with no
-    live predecessor. *)
+    predecessor.  Retired predecessors are skipped (they have nothing
+    left to relay), so a call costs O(direct predecessors) plus the
+    unretired region, not O(history). *)
 
 val uncommitted_preds_reference : t -> int -> int list
-(** The unmemoized walk, rescanning every terminated direct
-    predecessor's predecessors — the oracle {!set_check} compares
+(** The walk without the retired skip, rescanning every terminated
+    direct predecessor's predecessors — the oracle {!set_check} compares
     against. *)
 
 val live_succs : t -> int -> int list
@@ -81,11 +105,12 @@ val compact : t -> int
 (** Drop parked cycle-closing edges both of whose endpoints terminated.
     A terminated process never gains in-edges again, so such an edge can
     no longer participate in a new cycle — but while parked it forces
-    {!would_cycle} to answer [true] for every admission.  Returns the
-    number of edges dropped; [0] almost always (the parked table is
+    {!would_cycle} to answer [true] for every admission.  A dropped
+    edge's target may retire.  Returns the number of edges dropped; [0] almost always (the parked table is
     normally empty). *)
 
 val order : t -> int list
-(** The maintained topological order over non-aborted processes —
-    serialization-order queries read it off directly.  Meaningful while
-    the graph is acyclic (no parked cycle-closing edges). *)
+(** A serialization order over non-aborted processes: retired committed
+    ones in retirement order, then the maintained topological order of
+    the rest.  Meaningful while the graph is acyclic (no parked
+    cycle-closing edges). *)

@@ -215,7 +215,7 @@ type latent = {
   mutable lt_full : bool;  (* structural invalidation: rebuild everything *)
   lt_qconf : (int, Tpm_core.Bitset.t) Hashtbl.t;
       (* per-source conflict closure (occurrences ∪ in-flight ∪ prepared);
-         key set = exactly the current sources (live ∪ committed) *)
+         key set = exactly the current sources (live ∪ committed, unretired) *)
   lt_out : (int, (int, unit) Hashtbl.t) Hashtbl.t;
       (* per-source latent out-edges into live targets; same key set *)
   mutable lt_edges : (int * int) list option;  (* memoized flat view of [lt_out] *)
@@ -250,7 +250,14 @@ type t = {
   deps : Deps.t;
   wal : Wal.t;
   procs : (int, pstate) Hashtbl.t;
-  mutable plist : pstate list;  (* the pstates sorted by pid, maintained at register *)
+  mutable all_asc : pstate list option;  (* every pstate by pid; dropped at register *)
+  mutable idx : pstate list;
+      (* the index: every unretired pstate, in any order — retired ones
+         linger until the next [index] rebuild filters them out *)
+  mutable idx_asc : pstate list option;  (* [idx] unretired and by pid; dropped on change *)
+  retired_conf : Tpm_core.Bitset.t;
+      (* union of the conflict closures of the retired committed
+         processes: what their latent out-edges would still hit *)
   mutable hist : Schedule.t;  (* the emitted schedule, appended at [emit] *)
   scratch : Tpm_core.Bitset.t;  (* per-admission working set (single-threaded) *)
   latent : latent;  (* incrementally maintained latent base *)
@@ -480,38 +487,55 @@ let create ?(config = default_config) ?(faults = Faults.none)
     rms;
   let deps = Deps.create () in
   if config.admission_engine = Checked then Deps.set_check deps true;
-  {
-    cfg = config;
-    spec;
-    cspec = Conflict.Compiled.make spec;
-    faults;
-    rms = table;
-    sim;
-    rng = Prng.create config.seed;
-    deps;
-    wal;
-    procs = Hashtbl.create 16;
-    plist = [];
-    hist = Schedule.make ~spec ~procs:[] [];
-    scratch = Bitset.create ();
-    latent = latent_create ();
-    rev_events = [];
-    metrics;
-    attempts = Hashtbl.create 64;
-    enforce = (match config.order with Weak -> Some (Enforce.create ()) | Strong -> None);
-    enf_how = Hashtbl.create 32;
-    rollback_queue = [];
-    rollback_running = false;
-    crashed;
-    bus;
-    coord;
-    logf;
-    ckpt_seq = 0;
-    obs;
-    subsys_observer = None;
-    no_lemma1 = false;
-    wakeup = Wakeup.create ();
-  }
+  let t =
+    {
+      cfg = config;
+      spec;
+      cspec = Conflict.Compiled.make spec;
+      faults;
+      rms = table;
+      sim;
+      rng = Prng.create config.seed;
+      deps;
+      wal;
+      procs = Hashtbl.create 16;
+      all_asc = None;
+      idx = [];
+      idx_asc = None;
+      retired_conf = Bitset.create ();
+      hist = Schedule.make ~spec ~procs:[] [];
+      scratch = Bitset.create ();
+      latent = latent_create ();
+      rev_events = [];
+      metrics;
+      attempts = Hashtbl.create 64;
+      enforce = (match config.order with Weak -> Some (Enforce.create ()) | Strong -> None);
+      enf_how = Hashtbl.create 32;
+      rollback_queue = [];
+      rollback_running = false;
+      crashed;
+      bus;
+      coord;
+      logf;
+      ckpt_seq = 0;
+      obs;
+      subsys_observer = None;
+      no_lemma1 = false;
+      wakeup = Wakeup.create ();
+    }
+  in
+  (* A retired process leaves the index and the latent base (its pid is
+     marked dirty so the next patch drops its source side).  A committed
+     one's closure joins [retired_conf]: it is final, since a retired
+     process has nothing in flight or prepared.  No waiter is stamped —
+     retirement changes no admission decision. *)
+  Deps.set_on_retire deps (fun pid ->
+      t.idx_asc <- None;
+      if not t.latent.lt_full then Hashtbl.replace t.latent.lt_dirty pid ();
+      match Hashtbl.find_opt t.procs pid with
+      | Some ps when Deps.committed deps pid -> Bitset.union ~into:t.retired_conf ps.occ_conf
+      | Some _ | None -> ());
+  t
 
 let now t = Des.now t.sim
 let sim t = t.sim
@@ -535,7 +559,32 @@ let notify_subsys t rm ~ok =
   | None -> ()
   | Some f -> f ~subsystem:(Rm.name rm) ~ok
 
-let pstates t = t.plist
+let by_pid a b = Int.compare (Process.pid a.proc) (Process.pid b.proc)
+
+(* Every process ever registered, by pid: only the whole-history readers
+   (the reference engine, fingerprints, checkpoints, dumps) walk it. *)
+let pstates t =
+  match t.all_asc with
+  | Some l -> l
+  | None ->
+      let l = List.sort by_pid (Hashtbl.fold (fun _ ps acc -> ps :: acc) t.procs []) in
+      t.all_asc <- Some l;
+      l
+
+(* The live index: live processes plus terminated ones that have not
+   retired (see {!Deps.retired}), by pid.  Every per-event scan walks it,
+   so per-event work tracks the live set, not the history. *)
+let index t =
+  match t.idx_asc with
+  | Some l -> l
+  | None ->
+      let l =
+        List.sort by_pid
+          (List.filter (fun ps -> not (Deps.retired t.deps (Process.pid ps.proc))) t.idx)
+      in
+      t.idx <- l;
+      t.idx_asc <- Some l;
+      l
 
 (* Every mutation of admission-relevant state (occurrences, in-flight /
    prepared activities, execution steps, pending completions, phases,
@@ -590,7 +639,7 @@ let add_dep_edge t i j =
 let live ps = ps.phase <> Done
 
 let live_count t =
-  List.fold_left (fun n ps -> if live ps then n + 1 else n) 0 t.plist
+  List.fold_left (fun n ps -> if live ps then n + 1 else n) 0 (index t)
 
 let duration t (a : Activity.t) =
   let mean = t.cfg.service_time a.Activity.service in
@@ -664,8 +713,9 @@ let emit t ev =
 
 let history t = t.hist
 
-(* the maintained topological order of the dependency graph (aborted
-   processes dropped), a valid serialization order at any instant *)
+(* retired processes in retirement order, then the maintained
+   topological order of the rest (aborted processes dropped): a valid
+   serialization order at any instant *)
 let serialization_order t = Deps.order t.deps
 
 (* the enforcement layer's live per-subsystem local schedules (empty
@@ -681,7 +731,7 @@ let status t pid =
   | None -> Schedule.Active
   | Some ps -> if ps.phase = Done then ps.term else Schedule.Active
 
-let finished t = List.for_all (fun ps -> ps.phase = Done) (pstates t)
+let finished t = List.for_all (fun ps -> ps.phase = Done) (index t)
 
 (* Canonical rendering of the explorable state: per-process phase,
    in-flight / pending work and execution position, the rollback queue,
@@ -774,7 +824,7 @@ let service_pressure t service =
       if live ps && (Bitset.mem ps.occ_conf id || inflight_conflict t ps service) then
         n + 1
       else n)
-    0 t.plist
+    0 (index t)
 
 let placed_act ps =
   match ps.phase with
@@ -896,7 +946,7 @@ let quasi_ok_bits t preds ~row ps =
 (* Latent base — incremental maintenance *)
 
 let latent_sources t =
-  List.filter (fun q -> live q || q.term = Schedule.Committed) (pstates t)
+  List.filter (fun q -> live q || q.term = Schedule.Committed) (index t)
 
 (* a source's conflict closure: occurrences ∪ in-flight row ∪ prepared
    row, written over [into] (surplus bits zeroed by [Bitset.assign]) *)
@@ -935,7 +985,7 @@ let latent_rebuild t lt =
   Hashtbl.reset lt.lt_out;
   lt.lt_edges <- None;
   lt.lt_ends <- None;
-  let targets = List.filter live (pstates t) in
+  let targets = List.filter live (index t) in
   List.iter
     (fun q ->
       let qid = Process.pid q.proc in
@@ -965,7 +1015,7 @@ let latent_rebuild t lt =
 let latent_patch t lt =
   Metrics.incr t.metrics "latent_patches";
   Metrics.observe t.metrics "latent_dirty" (float_of_int (Hashtbl.length lt.lt_dirty));
-  let lives = List.filter live (pstates t) in
+  let lives = List.filter live (index t) in
   let removed = ref false in
   let added = ref [] in
   Hashtbl.iter
@@ -973,7 +1023,9 @@ let latent_patch t lt =
       match Hashtbl.find_opt t.procs p with
       | None -> ()
       | Some ps ->
-          if live ps || ps.term = Schedule.Committed then begin
+          if
+            (not (Deps.retired t.deps p)) && (live ps || ps.term = Schedule.Committed)
+          then begin
             let qconf =
               match Hashtbl.find_opt lt.lt_qconf p with
               | Some b -> b
@@ -1055,11 +1107,25 @@ let latent_patch t lt =
 let latent_base t =
   let lt = t.latent in
   let dirty = Hashtbl.length lt.lt_dirty in
-  if (not lt.lt_full) && dirty > 0 && 2 * dirty > List.length t.plist then
+  if (not lt.lt_full) && dirty > 0 && 2 * dirty > List.length (index t) then
     lt.lt_full <- true;
   if lt.lt_full then latent_timed t "latent_rebuild_s" (fun () -> latent_rebuild t lt)
   else if dirty > 0 then latent_timed t "latent_patch_s" (fun () -> latent_patch t lt);
   lt
+
+(* the live targets of the latent edges retired sources would still
+   have: the base drops retired sources, [retired_conf] stands in for
+   them when a delay reports its blockers *)
+let retired_hits t =
+  List.filter_map
+    (fun r -> if live r && latent_hits t t.retired_conf r then Some (Process.pid r.proc) else None)
+    (index t)
+
+(* delays report live blockers only *)
+let live_pids t pids =
+  List.filter
+    (fun q -> match Hashtbl.find_opt t.procs q with Some ps -> live ps | None -> false)
+    pids
 
 (* flat edge list of the base (memoized): only materialized for Delay
    blocker reporting, never on the admit fast path *)
@@ -1106,8 +1172,9 @@ let latent_succ_iter t lt n f =
   | None -> ()
 
 (* resolve [Order_stale]: one DFS over deps ∪ base from every source.
-   Every non-aborted process is a source, so every node ends up with a
-   position — newly registered pids are appended at [lt_next_pos]. *)
+   Every unretired live or committed process is a source, so every node
+   the combined graph can route a cycle through ends up with a position
+   — newly registered pids are appended at [lt_next_pos]. *)
 let latent_resolve_order t lt =
   match lt.lt_order with
   | Order_valid pos -> Some pos
@@ -1227,8 +1294,9 @@ let lemma1_preds t pid new_edges =
    decision (the explain payload) and, for a delay, its witness: pids
    whose unchanged state proves the delay still holds ([None] when no
    such set is known — the waiter is then re-asked on every wake pass).
-   The reference oracle is kept verbatim and the [Checked] engine
-   compares decisions and edges only. *)
+   The reference oracle is kept verbatim, full-history, and the [Checked]
+   engine compares decisions and edges only, under the retirement
+   contract: delay blockers as live pids, edges from unretired sources. *)
 
 let admission_decision t pid act =
   let ps = Hashtbl.find t.procs pid in
@@ -1261,7 +1329,7 @@ let admission_decision t pid act =
         List.iter (fun k -> Bitset.union ~into:b (Conflict.Compiled.row t.cspec k)) ks;
         b
   in
-  let others = List.filter (fun q -> Process.pid q.proc <> pid) (pstates t) in
+  let others = List.filter (fun q -> Process.pid q.proc <> pid) (index t) in
   let busy_blockers =
     if member_admitted then []
     else
@@ -1321,7 +1389,7 @@ let admission_decision t pid act =
                 || Bitset.inter_nonempty crow r.pending_bits
               then Some (pid, rid)
               else None)
-            (pstates t)
+            (index t)
         in
         (* the candidate's service joins its process's future: extra edges
            q -> pid wherever q's closure contains it *)
@@ -1338,7 +1406,8 @@ let admission_decision t pid act =
              Delay path; the base contribution is memoized *)
           lazy
             (latent_endpoints c
-            @ List.concat_map (fun (i, j) -> [ i; j ]) (extra_out @ extra_in)) )
+            @ List.concat_map (fun (i, j) -> [ i; j ]) (extra_out @ extra_in)
+            @ retired_hits t) )
       end
     in
     match would with
@@ -1347,7 +1416,7 @@ let admission_decision t pid act =
         let blockers =
           List.concat_map (fun (i, j) -> [ i; j ]) new_edges @ Lazy.force all_latent
           |> List.filter (fun q -> q <> pid)
-          |> List.sort_uniq compare
+          |> List.sort_uniq compare |> live_pids t
         in
         let witness =
           match would with Cycle_through nodes -> Some nodes | Base_cyclic | Acyclic -> None
@@ -1360,7 +1429,10 @@ let admission_decision t pid act =
         else if Activity.non_compensatable a && not t.no_lemma1 then begin
           let preds = lemma1_preds t pid new_edges in
           if t.cfg.exact_admission && not (exact_ok t a) then
-            (Delay (List.sort_uniq compare (List.map fst new_edges)), [], Obs.Exact_reject, None)
+            ( Delay (live_pids t (List.sort_uniq compare (List.map fst new_edges))),
+              [],
+              Obs.Exact_reject,
+              None )
           else if preds = [] then (Admit_invoke, new_edges, admit_reason (), None)
           else
             match t.cfg.mode with
@@ -1376,7 +1448,10 @@ let admission_decision t pid act =
                 else (Admit_prepare, new_edges, Obs.Deferred_prepare, None)
         end
         else if t.cfg.exact_admission && not (exact_ok t a) then
-          (Delay (List.sort_uniq compare (List.map fst new_edges)), [], Obs.Exact_reject, None)
+          ( Delay (live_pids t (List.sort_uniq compare (List.map fst new_edges))),
+            [],
+            Obs.Exact_reject,
+            None )
         else (Admit_invoke, new_edges, admit_reason (), None)
   end
 
@@ -1619,6 +1694,27 @@ let claim_group_footprint t ps g =
   ps.claimed_services <- svcs @ ps.claimed_services;
   bump_pid t (Process.pid ps.proc)
 
+(* The retirement oracle of the [Checked] engine: the retired set
+   re-derived from scratch ({!Deps.check_retirement}), and the index
+   holding exactly the unretired processes — every retired one
+   terminated, with nothing in flight. *)
+let retirement_check t =
+  Deps.check_retirement t.deps;
+  let retired, unretired =
+    List.partition (fun ps -> Deps.retired t.deps (Process.pid ps.proc)) (pstates t)
+  in
+  List.iter
+    (fun ps ->
+      if ps.phase <> Done || ps.inflight <> None then
+        failwith
+          (Printf.sprintf "Scheduler: P%d retired while live or in flight" (Process.pid ps.proc)))
+    retired;
+  let pids l = String.concat "," (List.map (fun ps -> string_of_int (Process.pid ps.proc)) l) in
+  if pids (index t) <> pids unretired then
+    failwith
+      (Printf.sprintf "Scheduler: index [%s] is not the unretired set [%s]" (pids (index t))
+         (pids unretired))
+
 let admission t pid act =
   let t0 = match t.cfg.admission_clock with Some f -> f () | None -> 0.0 in
   let decision, edges, reason, witness =
@@ -1636,8 +1732,14 @@ let admission t pid act =
           | Delay _ -> Obs.Busy),
           None )
     | Checked ->
+        retirement_check t;
         let d_inc, e_inc, r_inc, w_inc = admission_decision t pid act in
         let d_ref, e_ref = Reference.admission_decision t pid act in
+        (* the retirement contract (DESIGN §8): the full-history oracle's
+           blockers compare as live pids, its edges as those whose source
+           has not retired *)
+        let d_ref = match d_ref with Delay bs -> Delay (live_pids t bs) | d -> d in
+        let e_ref = List.filter (fun (i, _) -> not (Deps.retired t.deps i)) e_ref in
         if not (same_admission d_inc d_ref && e_inc = e_ref) then
           failwith
             (Printf.sprintf
@@ -1689,6 +1791,21 @@ let admission t pid act =
 
 (* ------------------------------------------------------------------ *)
 (* Forward progress *)
+
+(* A process terminating with an invocation still in flight (an abort or
+   a forward recovery overtook it) stays unretired until the invocation
+   returns: until then it still counts as busy, and its in-flight row
+   still feeds the latent base. *)
+let terminate_deps t ps mark =
+  let pid = Process.pid ps.proc in
+  if ps.inflight <> None then Deps.hold t.deps pid;
+  mark t.deps pid
+
+let clear_inflight t ps =
+  let pid = Process.pid ps.proc in
+  bump_pid t pid;
+  ps.inflight <- None;
+  if ps.phase = Done then Deps.release t.deps pid
 
 let rec wake t =
   if not !(t.crashed) then begin
@@ -1787,7 +1904,7 @@ let rec wake t =
                     end
               end
             end)
-      (pstates t);
+      (index t);
     if !changed then wake t
     else if not !(t.crashed) then detect_stall t waiting ~parked:!parked
   end
@@ -1856,7 +1973,7 @@ and on_twopc_done t pid act ~commit =
    Resolution: abort the youngest stalled process; its completion restores
    progress (guaranteed termination). *)
 and detect_stall t waiting ~parked =
-  let ps_list = pstates t in
+  let ps_list = index t in
   let lives = List.filter live ps_list in
   let busy =
     t.rollback_running
@@ -1920,7 +2037,7 @@ and try_commit t ps =
     tracef t "commit P%d" pid;
     emit t (Schedule.Commit pid);
     log t (Wal.Process_committed pid);
-    Deps.mark_committed t.deps pid;
+    terminate_deps t ps Deps.mark_committed;
     ps.phase <- Done;
     ps.term <- Schedule.Committed;
     ps.done_at <- Some (now t);
@@ -1958,7 +2075,7 @@ and dispatch t ps act how =
             (match q.inflight with Some qact -> obligation qact | None -> ());
             match placed_act q with Some qact -> obligation qact | None -> ()
           end)
-        (pstates t)
+        (index t)
   | None -> ());
   Metrics.incr t.metrics "dispatched";
   if Obs.Tracer.active t.obs then
@@ -2002,10 +2119,7 @@ and on_activity_timeout t pid act how =
     match Hashtbl.find_opt t.procs pid with
     | None -> ()
     | Some ps -> (
-        if ps.inflight = Some act then begin
-          bump_pid t pid;
-          ps.inflight <- None
-        end;
+        if ps.inflight = Some act then clear_inflight t ps;
         match ps.phase with
         | Recovering | Done | Deciding_2pc _ ->
             Metrics.incr t.metrics "cancelled_inflight";
@@ -2068,10 +2182,7 @@ and on_activity_done t pid act how =
       in
       if enf_held then ()
       else begin
-      if ps.inflight = Some act then begin
-        bump_pid t pid;
-        ps.inflight <- None
-      end;
+      if ps.inflight = Some act then clear_inflight t ps;
       match ps.phase with
       | Recovering | Done | Deciding_2pc _ ->
           (* the process was aborted (or its fate handed to a 2PC
@@ -2326,7 +2437,7 @@ and cascade_victims t ~exclude ~seed_instances =
           frontier := List.filter_map threat_of completion @ !frontier;
           continue_ := true
         end)
-      (pstates t)
+      (index t)
   done;
   !victims
 
@@ -2411,7 +2522,7 @@ and run_rollback_queue t =
                (Execution.executed q.exec)
         then Some q
         else None)
-      (pstates t)
+      (index t)
   in
   (* Lemma 3 inside the queue: a forward completion activity yields to any
      conflicting compensation queued for another process *)
@@ -2442,7 +2553,7 @@ and run_rollback_queue t =
       let ready =
         List.filter
           (fun ps -> ps.phase = Recovering && ps.pending_completion = [])
-          (pstates t)
+          (index t)
       in
       let ready_pids = List.map (fun ps -> Process.pid ps.proc) ready in
       let order =
@@ -2473,7 +2584,7 @@ and run_rollback_queue t =
              flight, cascade the holders of the first item *)
           Metrics.incr t.metrics "rollback_waits";
           let idle =
-            List.for_all (fun ps -> ps.inflight = None) (pstates t)
+            List.for_all (fun ps -> ps.inflight = None) (index t)
           in
           (if idle then
              match queue with
@@ -2527,7 +2638,7 @@ and apply_rollback_item t pid inst rest =
             qid <> pid && q.term <> Schedule.Aborted
             && occurrence_conflicts t q (Activity.instance_base inst).Activity.service
           then add_dep_edge t qid pid)
-        (pstates t);
+        (index t);
       (if Activity.is_inverse inst then begin
          log t (Wal.Compensated { pid; act = a.Activity.id.Activity.act });
          Metrics.incr t.metrics "compensations"
@@ -2637,14 +2748,14 @@ and finish_terminal t ps term =
   | Schedule.Aborted ->
       emit t (Schedule.Abort pid);
       log t (Wal.Process_aborted pid);
-      Deps.mark_aborted t.deps pid;
+      terminate_deps t ps Deps.mark_aborted;
       (* the abort dropped (and possibly un-parked) dependency edges *)
       latent_dep_removed t;
       Metrics.incr t.metrics "aborted"
   | Schedule.Committed ->
       emit t (Schedule.Commit pid);
       log t (Wal.Process_committed pid);
-      Deps.mark_committed t.deps pid;
+      terminate_deps t ps Deps.mark_committed;
       Metrics.incr t.metrics "committed_via_completion"
   | Schedule.Active -> assert false);
   Metrics.observe t.metrics "latency" (now t -. ps.arrived)
@@ -2706,10 +2817,10 @@ let register t ?(args_of = fun _ -> Value.Nil) ?(groups = []) proc =
         t.latent.lt_next_pos <- t.latent.lt_next_pos + 1
     | Order_stale | Order_cyclic -> ()
   end;
-  t.plist <-
-    List.merge
-      (fun a b -> compare (Process.pid a.proc) (Process.pid b.proc))
-      [ ps ] t.plist;
+  (* O(1): both views are rebuilt, sorted, at their next read *)
+  t.all_asc <- None;
+  t.idx <- ps :: t.idx;
+  t.idx_asc <- None;
   t.hist <- Schedule.add_proc t.hist proc;
   Deps.add_process t.deps pid;
   log t (Wal.Process_registered pid);
@@ -3014,6 +3125,14 @@ let recover ?(config = default_config) ?(amnesia = false) ?tracer ?(groups = [])
           | Wal.Abort_requested _ | Wal.Checkpoint _ | Wal.Ckpt_begin _ | Wal.Ckpt_end _
           | Wal.Coord_forgotten _ | Wal.Kv_write _ | Wal.Dirty_pages _ -> ())
         records;
+      (* the replay completed the terminal processes' closures: they
+         retire now *)
+      List.iter
+        (fun pid -> if Hashtbl.mem t.procs pid then Deps.mark_committed t.deps pid)
+        plan.Recovery.committed;
+      List.iter
+        (fun pid -> if Hashtbl.mem t.procs pid then Deps.mark_aborted t.deps pid)
+        plan.Recovery.aborted;
       if entries <> [] then begin
         emit t (Schedule.Group_abort (List.map fst entries));
         let ordered = Completed.completion_order (history t) entries in
@@ -3042,13 +3161,15 @@ let gc_deps t =
   n
 
 (* Self-check for the incremental latent base (tests only): rebuild the
-   base from scratch with the PR-3 one-shot algorithm and compare edge
-   sets, source sets, closures, and the order state's cyclicity verdict
-   against a fresh DFS. *)
+   base over the unretired sources from scratch with the one-shot
+   algorithm and compare edge sets, source sets, closures, the retired
+   closure union, and the order state's cyclicity verdict against a
+   fresh DFS.  Forward order is asserted between unretired endpoints
+   only: retired processes have no position. *)
 let latent_self_check t =
   let lt = latent_base t in
   let sources = latent_sources t in
-  let targets = List.filter live (pstates t) in
+  let targets = List.filter live (index t) in
   let scratch_edges =
     List.concat_map
       (fun q ->
@@ -3096,7 +3217,20 @@ let latent_self_check t =
       | Some q ->
           Error (Printf.sprintf "stale closure for P%d" (Process.pid q.proc))
       | None -> (
-          let combined = Deps.edges t.deps @ inc in
+          let union = Bitset.create () in
+          List.iter
+            (fun ps ->
+              let pid = Process.pid ps.proc in
+              if Deps.retired t.deps pid && Deps.committed t.deps pid then
+                Bitset.union ~into:union ps.occ_conf)
+            (pstates t);
+          if Bitset.elements union <> Bitset.elements t.retired_conf then
+            Error "retired closure union differs from a fresh fold"
+          else
+          let unretired n = not (Deps.retired t.deps n) in
+          let combined =
+            List.filter (fun (i, j) -> unretired i && unretired j) (Deps.edges t.deps) @ inc
+          in
           let scratch_cyclic =
             let succ = Hashtbl.create 64 in
             List.iter
@@ -3139,6 +3273,10 @@ let latent_self_check t =
                       (Printf.sprintf "edge %d->%d not forward in maintained order" i j)
                 | None -> Ok ()))
   end
+
+let index_pids t = List.map (fun ps -> Process.pid ps.proc) (index t)
+let retired t pid = Deps.retired t.deps pid
+let dependency_edges t = Deps.edges t.deps
 
 (* Failure forensics: the last [n] ring-buffer events plus the metrics
    snapshot, in one block a CI log can be diagnosed from.  With an

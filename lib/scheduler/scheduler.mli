@@ -245,10 +245,10 @@ val history : t -> Tpm_core.Schedule.t
     completion activities, and terminal events. *)
 
 val serialization_order : t -> int list
-(** The maintained topological order of the process dependency graph
-    (aborted processes excluded) — a valid serialization order at any
-    instant, read off the Pearce–Kelly ordering in O(n log n) without a
-    graph traversal. *)
+(** A valid serialization order at any instant (aborted processes
+    excluded): retired processes in retirement order, then the
+    maintained Pearce–Kelly order of the rest, read off without a graph
+    traversal. *)
 
 val status : t -> int -> Tpm_core.Schedule.status
 val finished : t -> bool
@@ -406,6 +406,17 @@ val gc_deps : t -> int
 (** Drop parked cycle-closing dependency edges both of whose endpoints
     terminated (see {!Deps.compact}); returns the number dropped.  Safe
     at any point; intended for long-lived serving loops. *)
+
+val index_pids : t -> int list
+(** The pids the per-event scans walk: live processes plus terminated
+    ones that have not retired, ascending (testing hook). *)
+
+val retired : t -> int -> bool
+(** Whether the process has retired from the dependency graph (testing
+    hook; see {!Deps.retired}). *)
+
+val dependency_edges : t -> (int * int) list
+(** The dependency edges currently stored, sorted (testing hook). *)
 
 val dump : Format.formatter -> t -> unit
 (** One line of internal state per process (debugging aid). *)

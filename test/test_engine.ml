@@ -3,8 +3,9 @@
      (all pairs, self-conflicts, effect-free marks, late interning);
    - Pearce–Kelly dependency tracking ([Deps]) agrees with the
      from-scratch Digraph oracle on would-cycle verdicts and maintains a
-     valid topological order across inserts, aborts and commits, and
-     its memoized predecessor walk agrees with the unmemoized one;
+     valid topological order across inserts, aborts and commits, its
+     predecessor walk (which skips retired nodes) agrees with the full
+     one, and its retired set agrees with a from-scratch fixpoint;
    - the indexed [Reduction.cancel_compensation_pairs] handles a
      1000-event schedule well under a second (the old implementation
      rescanned the interval per pair, quadratically). *)
@@ -94,7 +95,7 @@ let pk_agrees_with_oracle =
         | 1 -> Deps.mark_committed t i
         | 2 -> (
             (* an edge into a committed node — the scheduler never adds
-               one, but the settled memo must survive it *)
+               one, but retirement must survive it (the node un-retires) *)
             match List.filter (Deps.committed t) (List.init n (fun k -> k + 1)) with
             | [] -> ()
             | cs ->
@@ -113,10 +114,11 @@ let pk_agrees_with_oracle =
               |> List.filter (fun (a, b) -> a <> b)
             in
             ignore (Deps.would_cycle t batch));
-        (* every walk, memoized or not, is cross-checked by set_check *)
+        (* every walk is cross-checked by set_check *)
         for pid = 1 to n do
           ignore (Deps.uncommitted_preds t pid)
-        done
+        done;
+        Deps.check_retirement t
       done;
       (* the maintained order topologically sorts the surviving edges *)
       if not (Deps.would_cycle t []) then begin
@@ -165,7 +167,7 @@ let pk_preds_and_succs () =
   Alcotest.(check (list int)) "aborted pred dropped" [ 2 ] (Deps.uncommitted_preds t 3);
   Alcotest.(check (list int)) "live succs of 2" [ 3 ] (Deps.live_succs t 2)
 
-let settled_lifecycle () =
+let retired_lifecycle () =
   let t = Deps.create () in
   List.iter (Deps.add_process t) [ 1; 2; 3; 4 ];
   Deps.add_edge t 1 2;
@@ -173,20 +175,20 @@ let settled_lifecycle () =
   Deps.mark_committed t 2;
   Alcotest.(check (list int)) "committed 2 relays its live predecessor" [ 1 ]
     (Deps.uncommitted_preds t 3);
-  Alcotest.(check bool) "2 not settled while 1 is live" false (Deps.settled t 2);
+  Alcotest.(check bool) "2 not retired while 1 is live" false (Deps.retired t 2);
   Deps.mark_committed t 1;
   Alcotest.(check (list int)) "nothing left to wait for" [] (Deps.uncommitted_preds t 3);
-  Alcotest.(check bool) "2 settled once 1 committed" true (Deps.settled t 2);
-  Deps.add_edge t 1 2 (* duplicate, from a committed source: stays settled *);
-  Alcotest.(check bool) "still settled" true (Deps.settled t 2);
+  Alcotest.(check bool) "2 retired once 1 committed" true (Deps.retired t 2);
+  Deps.add_edge t 1 2 (* duplicate, from a retired source: stays retired *);
+  Alcotest.(check bool) "still retired" true (Deps.retired t 2);
   Deps.add_edge t 4 2;
-  Alcotest.(check bool) "an edge from live 4 clears the mark" false (Deps.settled t 2);
+  Alcotest.(check bool) "an edge from live 4 un-retires it" false (Deps.retired t 2);
   Alcotest.(check (list int)) "2 relays 4 again" [ 4 ] (Deps.uncommitted_preds t 3);
   Alcotest.(check (list int)) "agrees with the reference" (Deps.uncommitted_preds_reference t 3)
     (Deps.uncommitted_preds t 3);
   Deps.mark_aborted t 4;
   Alcotest.(check (list int)) "aborted 4 drops out" [] (Deps.uncommitted_preds t 3);
-  Alcotest.(check bool) "settled again" true (Deps.settled t 2)
+  Alcotest.(check bool) "retired again" true (Deps.retired t 2)
 
 let pk_reorder_stress () =
   (* adversarial insertion order: edges always run against the current
@@ -246,7 +248,7 @@ let suite =
     QCheck_alcotest.to_alcotest pk_agrees_with_oracle;
     Alcotest.test_case "deps: parked cycle-closing edge" `Quick parked_back_edge;
     Alcotest.test_case "deps: preds/succs across terminals" `Quick pk_preds_and_succs;
-    Alcotest.test_case "deps: settled predecessor lifecycle" `Quick settled_lifecycle;
+    Alcotest.test_case "deps: retired predecessor lifecycle" `Quick retired_lifecycle;
     Alcotest.test_case "deps: adversarial reorder chain" `Quick pk_reorder_stress;
     Alcotest.test_case "reduction: 1000-event schedule in budget" `Quick
       reduction_1k_events;

@@ -26,6 +26,7 @@ let () =
       ("shard", Test_shard.suite);
       ("pager", Test_pager.suite);
       ("fingerprint", Test_fingerprint.suite);
+      ("retire", Test_retire.suite);
       ("baseline", Test_baseline.suite);
       ("wakeup", Test_wakeup.suite);
     ]

@@ -64,10 +64,11 @@ dune exec tools/stress.exe -- --serve --seeds 41-48
 # re-derived (missed-wakeup detector) besides the engine cross-check
 dune exec tools/stress.exe -- --serve --seeds 41-48 --check-admission
 # the same Checked arm over a long history: a 200-vt arrival horizon
-# leaves hundreds of terminated processes behind each admission, so the
-# memoized predecessor walk (settled committed nodes) and Lemma 1's
-# live-predecessor rule are cross-checked against their references where
-# the memo actually carries weight
+# leaves hundreds of terminated processes behind each admission, so
+# retirement (the live index, the retired-skipping predecessor walk, the
+# from-scratch retirement oracle) and Lemma 1's live-predecessor rule are
+# cross-checked against the full-history references where retirement
+# actually carries weight
 dune exec tools/stress.exe -- --serve --seeds 41-44 --check-admission --serve-horizon 200
 # server crash sweep: kill the scheduler at EVERY server-loop step
 # (arrival decisions, enqueues, deadline sheds, queue pumps, all four
