@@ -98,10 +98,11 @@ type config = {
          observations); [None] (default) skips the measurement *)
   wal_sync : Wal.sync_policy;
       (* durability of the mirrored log: [Sync_each] (default) fsyncs
-         every append; [Group w] coalesces concurrent durable appends —
-         2PC commit decisions, process commits — into one fsync per
-         [w]-long batch window; [No_sync] never fsyncs.  Irrelevant
-         without [wal_path]. *)
+         every append that witnesses an effect or decides an outcome;
+         [Group w] coalesces concurrent durable appends — 2PC commit
+         decisions, process commits — into one fsync per [w]-long batch
+         window; [No_sync] never fsyncs.  Irrelevant without
+         [wal_path]. *)
   wal_segment_bytes : int;  (* segment roll size of the mirrored log *)
 }
 

@@ -144,7 +144,9 @@ type config = {
           [Unix.gettimeofday]); [None] (default) skips the measurement *)
   wal_sync : Tpm_wal.Wal.sync_policy;
       (** durability of the mirrored log ([wal_path]): [Sync_each]
-          (default) fsyncs every append; [Group w] coalesces concurrent
+          (default) fsyncs every append that witnesses an effect or
+          decides an outcome, and lets the rest ride on the next such
+          fsync ({!Tpm_wal.Wal.Sync_each}); [Group w] coalesces concurrent
           durable appends — 2PC commit decisions, process commits — into
           one fsync per [w]-long batch window, with DECISION messages
           held until their record's fsync; [No_sync] never fsyncs.

@@ -59,6 +59,20 @@ type record =
       pages : (int * int) list;  (* (page id, rec_lsn) *)
     }
 
+(* Under [Sync_each], the records that witness an effect (an activity,
+   a compensation, a page write, a 2PC vote or decision) or decide an
+   outcome (a termination, a checkpoint) force the log when appended.
+   The rest are read by no recovery path ([Process_registered] only
+   names a process; losing it with no later effect leaves the plan
+   unchanged) and stay buffered until the next forcing record's fsync,
+   which covers the whole prefix. *)
+let forces = function
+  | Invoked _ | Prepared _ | Prepared_decided _ | Compensated _ | Process_committed _
+  | Process_aborted _ | Checkpoint _ | Ckpt_end _ | Coord_begin _ | Coord_committed _
+  | Kv_write _ | Dirty_pages _ -> true
+  | Process_registered _ | Commit_requested _ | Abort_requested _ | Ckpt_begin _
+  | Coord_forgotten _ -> false
+
 type sync_policy =
   | No_sync
   | Sync_each
@@ -260,16 +274,24 @@ let roll d =
   d.seg_bytes <- d.seg_bytes + String.length seal_bytes;
   ignore (sync_disk ~force:true d);
   close_out d.oc;
+  let sealed = d.durable_seg = d.seg && d.durable_off = d.seg_bytes in
   d.seg <- d.seg + 1;
   d.oc <- open_segment d.base d.seg;
-  d.seg_bytes <- 0
+  d.seg_bytes <- 0;
+  (* a durable seal makes the new, empty segment the log's durable tail:
+     a crash before its first fsync leaves that empty file, where a torn
+     write lands, rather than a sealed segment with bytes after the seal *)
+  if sealed then begin
+    d.durable_seg <- d.seg;
+    d.durable_off <- 0
+  end
 
 let append t record =
   (* durability first: the framed record reaches the log — and, under
-     [Sync_each] (the default), an fsync — before it is applied in
-     memory.  [No_sync] and [Group _] deliberately trade that away:
-     the record is buffered and the caller is acknowledged only when a
-     later batched fsync covers it. *)
+     [Sync_each] (the default), an fsync if it [forces] — before it is
+     applied in memory.  [No_sync] and [Group _] deliberately trade that
+     away: the record is buffered and the caller is acknowledged only
+     when a later batched fsync covers it. *)
   (match t.disk with
   | Some d ->
       if d.closed then invalid_arg "Wal.append: log is closed";
@@ -279,7 +301,9 @@ let append t record =
       output_string d.oc f;
       d.seg_bytes <- d.seg_bytes + n;
       d.pending <- d.pending + 1;
-      (match t.policy with Sync_each -> ignore (sync_disk d) | No_sync | Group _ -> ())
+      (match t.policy with
+      | Sync_each when forces record -> ignore (sync_disk d)
+      | Sync_each | No_sync | Group _ -> ())
   | None -> ());
   t.rev_records <- record :: t.rev_records;
   t.count <- t.count + 1

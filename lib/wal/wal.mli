@@ -96,7 +96,14 @@ type record =
 
 type sync_policy =
   | No_sync  (** never fsync: fast and explicitly unsafe *)
-  | Sync_each  (** flush + fsync on every append (the default) *)
+  | Sync_each
+      (** the default: flush + fsync on every append whose record
+          witnesses an effect or decides an outcome — every kind except
+          [Process_registered], [Commit_requested], [Abort_requested],
+          [Ckpt_begin] and [Coord_forgotten], which no recovery path
+          needs.  Those stay buffered until the next forcing append's
+          fsync covers them, so the durable log is always a prefix of
+          the appended one. *)
   | Group of float
       (** group commit: appends buffer in the OS, one fsync per batch
           window (virtual-time seconds); a record is durable only once a
@@ -114,8 +121,10 @@ val create :
 
 val append : t -> record -> unit
 (** Durability first: the framed record reaches the log — and, under
-    [Sync_each], an fsync — before it is applied in memory.  Under
-    [No_sync]/[Group _] the frame is written but not yet synced. *)
+    [Sync_each], an fsync if the record forces one (see {!Sync_each}) —
+    before it is applied in memory.  A record that does not force, and
+    every record under [No_sync]/[Group _], is written but not yet
+    synced. *)
 
 val sync : t -> int
 (** Force an fsync covering every buffered append; returns the batch

@@ -63,20 +63,51 @@ let test_create_refuses_existing_log () =
     (Wal.load_records path = [ Wal.Process_registered 2 ]);
   rm_log path
 
-(* The default sync policy must actually fsync: every append is durable the
-   moment it returns, so a crash image (power loss) loses nothing. *)
+(* The record kinds [Sync_each] forces, listed here independently of the
+   WAL's own predicate: every record that witnesses an effect or decides
+   an outcome.  The other five kinds stay buffered until the next forcing
+   append. *)
+let forcing = function
+  | Wal.Invoked _ | Wal.Prepared _ | Wal.Prepared_decided _ | Wal.Compensated _
+  | Wal.Process_committed _ | Wal.Process_aborted _ | Wal.Checkpoint _ | Wal.Ckpt_end _
+  | Wal.Coord_begin _ | Wal.Coord_committed _ | Wal.Kv_write _ | Wal.Dirty_pages _ -> true
+  | Wal.Process_registered _ | Wal.Commit_requested _ | Wal.Abort_requested _
+  | Wal.Ckpt_begin _ | Wal.Coord_forgotten _ -> false
+
+(* the longest prefix of [records] that ends in a forcing record *)
+let forced_prefix records =
+  let last = ref 0 in
+  List.iteri (fun i r -> if forcing r then last := i + 1) records;
+  List.filteri (fun i _ -> i < !last) records
+
+(* The default sync policy fsyncs exactly at the forcing records: a
+   forcing append returns durable together with every lazy record before
+   it, and a crash loses only a trailing run of lazy records. *)
 let test_default_sync_is_durable () =
   let path = Filename.temp_file "tpm_wal_durable" ".log" in
   let records = [ Wal.Process_registered 1; Wal.Invoked { pid = 1; act = 1 } ] in
   let wal = Wal.create ~path () in
   List.iter (Wal.append wal) records;
   let st = Wal.stats wal in
-  check Alcotest.int "one fsync per append" 2 st.Wal.fsyncs;
-  check Alcotest.int "all records durable" 2 st.Wal.durable_records;
+  check Alcotest.int "one fsync per forcing record" 1 st.Wal.fsyncs;
+  check Alcotest.int "the lazy registration rides along" 2 st.Wal.durable_records;
+  Wal.append wal (Wal.Commit_requested 1);
+  check Alcotest.int "a lazy record does not fsync" 1 (Wal.stats wal).Wal.fsyncs;
+  check Alcotest.int "a lazy record stays pending" 1 (Wal.pending wal);
   Wal.crash_image wal;
-  check Alcotest.bool "power loss loses nothing under Sync_each" true
+  check Alcotest.bool "power loss takes only the trailing lazy record" true
     (Wal.load_records path = records);
   rm_log path;
+  (* the next forcing append makes the lazy record durable *)
+  let path1 = Filename.temp_file "tpm_wal_durable" ".log" in
+  let wal1 = Wal.create ~path:path1 () in
+  let records1 = records @ [ Wal.Commit_requested 1; Wal.Process_committed 1 ] in
+  List.iter (Wal.append wal1) records1;
+  check Alcotest.int "fsyncs = forcing records" 2 (Wal.stats wal1).Wal.fsyncs;
+  Wal.crash_image wal1;
+  check Alcotest.bool "a forcing append covers the lazy record before it" true
+    (Wal.load_records path1 = records1);
+  rm_log path1;
   (* under No_sync the same crash image loses the buffered tail *)
   let path2 = Filename.temp_file "tpm_wal_nosync" ".log" in
   let wal2 = Wal.create ~path:path2 ~sync:Wal.No_sync () in
@@ -85,6 +116,92 @@ let test_default_sync_is_durable () =
   Wal.crash_image wal2;
   check Alcotest.bool "power loss erases unsynced appends" true (Wal.load_records path2 = []);
   rm_log path2
+
+(* A lazy record that rolls the segment: the roll forces the seal (and
+   every record before it), and the new, empty segment becomes the
+   durable tail.  A crash then leaves that empty file, so a torn write
+   lands in the final segment instead of after a seal, where it would
+   read as corruption. *)
+let test_lazy_record_rolls_segment () =
+  let path = Filename.temp_file "tpm_wal_roll" ".log" in
+  let wal = Wal.create ~path ~segment_bytes:64 () in
+  Wal.append wal (Wal.Invoked { pid = 1; act = 1 });
+  let pid = ref 1 in
+  while (Wal.stats wal).Wal.segments = 1 do
+    incr pid;
+    Wal.append wal (Wal.Process_registered !pid)
+  done;
+  let durable = List.filteri (fun i _ -> i < Wal.size wal - 1) (Wal.records wal) in
+  Wal.crash_image wal;
+  let segs = Wal.segment_files path in
+  check Alcotest.int "the new segment survives the crash" 2 (List.length segs);
+  let oc = open_out_gen [ Open_wronly; Open_append; Open_binary ] 0o644 (List.nth segs 1) in
+  output_string oc "\x07\x03\x9a";
+  close_out oc;
+  let report = Wal.load path in
+  check Alcotest.bool "image = everything before the rolling record" true
+    (report.Wal.records = durable);
+  check Alcotest.bool "the torn write is a torn tail" true
+    (match report.Wal.anomalies with [ Wal.Torn_tail { segment = 1; _ } ] -> true | _ -> false);
+  rm_log path
+
+let gen_record =
+  let open QCheck.Gen in
+  let pid = int_range 1 4 and act = int_range 1 3 and cid = int_range 1 3 in
+  let pids = list_size (int_bound 2) pid in
+  oneof
+    [
+      map (fun p -> Wal.Process_registered p) pid;
+      map2 (fun pid act -> Wal.Invoked { pid; act }) pid act;
+      map2 (fun pid act -> Wal.Prepared { pid; act }) pid act;
+      map3 (fun pid act commit -> Wal.Prepared_decided { pid; act; commit }) pid act bool;
+      map2 (fun pid act -> Wal.Compensated { pid; act }) pid act;
+      map (fun p -> Wal.Commit_requested p) pid;
+      map (fun p -> Wal.Process_committed p) pid;
+      map (fun p -> Wal.Abort_requested p) pid;
+      map (fun p -> Wal.Process_aborted p) pid;
+      map2 (fun committed aborted -> Wal.Checkpoint { committed; aborted }) pids pids;
+      map (fun ckpt -> Wal.Ckpt_begin { ckpt }) cid;
+      map3 (fun ckpt committed aborted -> Wal.Ckpt_end { ckpt; committed; aborted }) cid pids
+        pids;
+      map3 (fun cid pid act -> Wal.Coord_begin { cid; pid; act; parts = [ "s0" ] }) cid pid act;
+      map2 (fun cid pid -> Wal.Coord_committed { cid; pid }) cid pid;
+      map2 (fun cid pid -> Wal.Coord_forgotten { cid; pid }) cid pid;
+      map2
+        (fun key del -> Wal.Kv_write { rm = "s0"; key; value = (if del then None else Some key) })
+        (string_size ~gen:(char_range 'a' 'z') (int_range 1 4))
+        bool;
+      map (fun pages -> Wal.Dirty_pages { rm = "s0"; pages }) (list_size (int_bound 2) (pair pid pid));
+    ]
+
+(* Property: under [Sync_each], for any record sequence, the crash image
+   loads to exactly the longest prefix ending in a forcing record, after
+   exactly one fsync per forcing record.  (The log stays in one segment:
+   a segment roll forces the log itself.) *)
+let prop_sync_each_crash_image =
+  QCheck.Test.make ~count:200 ~name:"Sync_each crash image = longest forced prefix"
+    (QCheck.make
+       ~print:(fun rs -> String.concat "; " (List.map (Format.asprintf "%a" Wal.pp_record) rs))
+       QCheck.Gen.(list_size (int_bound 24) gen_record))
+    (fun records ->
+      let path = Filename.temp_file "tpm_wal_prop" ".log" in
+      Fun.protect
+        ~finally:(fun () -> rm_log path)
+        (fun () ->
+          let wal = Wal.create ~path () in
+          List.iter (Wal.append wal) records;
+          let fsyncs = (Wal.stats wal).Wal.fsyncs in
+          Wal.crash_image wal;
+          let loaded = Wal.load path in
+          if loaded.Wal.anomalies <> [] then QCheck.Test.fail_report "crash image not clean";
+          if loaded.Wal.records <> forced_prefix records then
+            QCheck.Test.fail_reportf "image holds %d records, forced prefix %d"
+              (List.length loaded.Wal.records)
+              (List.length (forced_prefix records));
+          let forcing_n = List.length (List.filter forcing records) in
+          if fsyncs <> forcing_n then
+            QCheck.Test.fail_reportf "%d fsyncs for %d forcing records" fsyncs forcing_n;
+          true))
 
 let test_analyze_committed_process () =
   let p = Fixtures.p2 in
@@ -375,6 +492,9 @@ let suite =
     Alcotest.test_case "wal file round-trip" `Quick test_wal_roundtrip;
     Alcotest.test_case "create refuses an existing log" `Quick test_create_refuses_existing_log;
     Alcotest.test_case "default sync policy is durable" `Quick test_default_sync_is_durable;
+    QCheck_alcotest.to_alcotest prop_sync_each_crash_image;
+    Alcotest.test_case "a lazy record that rolls the segment" `Quick
+      test_lazy_record_rolls_segment;
     Alcotest.test_case "analyze: committed process" `Quick test_analyze_committed_process;
     Alcotest.test_case "analyze: interrupted in B-REC" `Quick test_analyze_interrupted_b_rec;
     Alcotest.test_case "analyze: interrupted in F-REC" `Quick test_analyze_interrupted_f_rec;

@@ -322,20 +322,52 @@ let test_crash_mid_serve_recovers () =
 
 (* --- Lemma 1 defers only behind live predecessors --- *)
 
+let contains needle hay =
+  let nl = String.length needle and hl = String.length hay in
+  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
+  go 0
+
+(* One wire-protocol connection: send [request], serve it to EOF, and
+   return everything the server replied. *)
+let converse srv request =
+  let client, server = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let n = Unix.write_substring client request 0 (String.length request) in
+  check Alcotest.int "request written" (String.length request) n;
+  Unix.shutdown client Unix.SHUTDOWN_SEND;
+  Server.handle_connection srv server;
+  Unix.close server;
+  let buf = Buffer.create 512 in
+  let chunk = Bytes.create 4096 in
+  let rec slurp () =
+    match Unix.read client chunk 0 4096 with
+    | 0 -> ()
+    | n ->
+        Buffer.add_subbytes buf chunk 0 n;
+        slurp ()
+  in
+  slurp ();
+  Unix.close client;
+  Buffer.contents buf
+
 (* Fifty copies of a compensatable step followed by a pivot, each served
-   alone: every conflicting predecessor has committed by the time the
-   next pivot is admitted, so Lemma 1 has nothing to wait for.  The pivot
-   is invoked directly — no prepare, no 2PC coordinator — and each
-   process logs exactly register, one invocation per activity, the
-   commit request and the commit. *)
+   alone over the wire: every conflicting predecessor has committed by
+   the time the next pivot is admitted, so Lemma 1 has nothing to wait
+   for.  The pivot is invoked directly — no prepare, no 2PC coordinator —
+   and each process logs exactly register, one invocation per activity,
+   the commit request and the commit.  The log is on disk under the
+   default [Sync_each]: when a document's final [.] reply goes out,
+   nothing it logged is still pending, and the document cost one fsync
+   per activity plus one for the commit. *)
 let test_sequential_pivots_skip_2pc () =
   let params = { Generator.default_params with services = 2; subsystems = 1 } in
   let spec = Generator.spec { params with Generator.conflict_density = 0.0 } in
   let rms = Generator.rms params () in
+  let wal_path = Filename.temp_file "tpm_server_wal" ".log" in
   let sched =
     Scheduler.create ~config:{ Scheduler.default_config with mode = Scheduler.Deferred }
-      ~spec ~rms ()
+      ~spec ~rms ~wal_path ()
   in
+  let wal = Scheduler.wal sched in
   let srv = Server.create sched in
   let n = 50 and k = 2 in
   for pid = 1 to n do
@@ -347,11 +379,21 @@ let test_sequential_pivots_skip_2pc () =
         ~activities:[ act 1 "svc0" Activity.Compensatable; act 2 "svc1" Activity.Pivot ]
         ~prec:[ (1, 2) ] ~pref:[]
     in
-    ignore (Server.offer srv proc);
-    Server.run srv;
+    let doc = Lang.print { Lang.spec = Conflict.empty; processes = [ proc ]; schedule = None } in
+    let fsyncs_before = (Wal.stats wal).Wal.fsyncs in
+    let reply = converse srv (doc ^ ".\n") in
     check Alcotest.bool (Printf.sprintf "P%d committed" pid) true
-      (Scheduler.finished sched)
+      (contains (Printf.sprintf "status %d committed" pid) reply && Scheduler.finished sched);
+    let st = Wal.stats wal in
+    check Alcotest.int (Printf.sprintf "P%d reply: nothing pending" pid) 0 (Wal.pending wal);
+    check Alcotest.int (Printf.sprintf "P%d reply: whole log durable" pid) (Wal.size wal)
+      st.Wal.durable_records;
+    check Alcotest.int (Printf.sprintf "P%d fsyncs = activities + 1" pid) (k + 1)
+      (st.Wal.fsyncs - fsyncs_before)
   done;
+  Wal.close wal;
+  List.iter Sys.remove (Wal.segment_files wal_path);
+  Sys.remove wal_path;
   let h = Scheduler.history sched in
   check Alcotest.bool "history PRED" true (Criteria.pred h);
   let m = Scheduler.metrics sched in
@@ -407,30 +449,8 @@ let test_offer_text () =
 
 let test_wire_protocol () =
   let srv = make_server ~policy:Server.Reject ~max_live:8 () in
-  let client, server = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   let doc = "process 1 {\n  1 svc0 retriable @ss0\n}\nprocess 2 {\n  1 svc1 retriable @ss1\n}\n.\n" in
-  let n = Unix.write_substring client doc 0 (String.length doc) in
-  check Alcotest.int "request written" (String.length doc) n;
-  Unix.shutdown client Unix.SHUTDOWN_SEND;
-  Server.handle_connection srv server;
-  Unix.close server;
-  let buf = Buffer.create 512 in
-  let chunk = Bytes.create 4096 in
-  let rec slurp () =
-    match Unix.read client chunk 0 4096 with
-    | 0 -> ()
-    | n ->
-        Buffer.add_subbytes buf chunk 0 n;
-        slurp ()
-  in
-  slurp ();
-  Unix.close client;
-  let reply = Buffer.contents buf in
-  let contains needle hay =
-    let nl = String.length needle and hl = String.length hay in
-    let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-    go 0
-  in
+  let reply = converse srv doc in
   check Alcotest.bool "decision line P1" true (contains "decision 1 admit" reply);
   check Alcotest.bool "decision line P2" true (contains "decision 2 admit" reply);
   check Alcotest.bool "status line P1" true (contains "status 1 committed" reply);
