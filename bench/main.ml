@@ -247,7 +247,7 @@ let section_p1 () =
   let variants =
     [
       ("serial", `Serial);
-      ("naive-SR", `Config { Scheduler.default_config with naive_sr = true });
+      ("naive-SR", `Config { Scheduler.default_config with mode = Scheduler.Naive_sr });
       ("conservative", `Config { Scheduler.default_config with mode = Scheduler.Conservative });
       ("deferred (paper)", `Config { Scheduler.default_config with mode = Scheduler.Deferred });
       ("quasi (fig 9)", `Config { Scheduler.default_config with mode = Scheduler.Quasi });

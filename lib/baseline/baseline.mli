@@ -11,8 +11,8 @@
       against {!Tpm_composite.Local.commit_order_serializable}.
 
     The scheduler's own comparators (serializability-only scheduling,
-    conservative Lemma-1 delays) are plain {!Tpm_scheduler.Scheduler.config}
-    settings: [naive_sr] and [mode]. *)
+    conservative Lemma-1 delays) are plain {!Tpm_scheduler.Scheduler.mode}
+    settings: [Naive_sr] and [Conservative]. *)
 
 val serial_makespan :
   make_rms:(unit -> Tpm_subsys.Rm.t list) ->

@@ -4,11 +4,10 @@ module Choice = Tpm_sim.Choice
 module Faults = Tpm_sim.Faults
 module Rm = Tpm_subsys.Rm
 module Service = Tpm_subsys.Service
-module Store = Tpm_kv.Store
 module Tx = Tpm_kv.Tx
 module Value = Tpm_kv.Value
-module Wal = Tpm_wal.Wal
 module Obs = Tpm_obs.Obs
+module Oracle = Tpm_oracle.Oracle
 
 type scenario = {
   name : string;
@@ -378,83 +377,6 @@ type outcome = {
 
 let horizon = 10_000.0
 
-(* (pid, act) pairs whose coordinator durably logged the commit decision
-   before the crash (presumed-abort soundness axis) *)
-let durable_commits records =
-  let acts = Hashtbl.create 8 in
-  List.iter
-    (function
-      | Wal.Coord_begin { cid; pid; act; _ } -> Hashtbl.replace acts cid (pid, act)
-      | _ -> ())
-    records;
-  List.filter_map
-    (function
-      | Wal.Coord_committed { cid; _ } -> Hashtbl.find_opt acts cid
-      | _ -> None)
-    records
-  |> List.sort_uniq compare
-
-let aborted_after_recovery t2 pid act =
-  List.exists
-    (function
-      | Wal.Prepared_decided { pid = p; act = a; commit = false } -> p = pid && a = act
-      | _ -> false)
-    (Scheduler.wal_records t2)
-
-let forward_in_history h pid act =
-  List.exists
-    (function
-      | Schedule.Act inst ->
-          (not (Activity.is_inverse inst))
-          && Activity.instance_proc inst = pid
-          && (Activity.instance_base inst).Activity.id.Activity.act = act
-      | Schedule.Commit _ | Schedule.Abort _ | Schedule.Group_abort _ -> false)
-    (Schedule.events h)
-
-(* Replay every occurrence of the history, in emission order, into fresh
-   subsystems; equal stores mean the surviving state is exactly
-   explained by the recovered history. *)
-let replay_explains scenario history rms =
-  let fresh = scenario.make_rms () in
-  let find name l = List.find (fun rm -> Rm.name rm = name) l in
-  let token = ref 0 in
-  let ok = ref true in
-  List.iter
-    (function
-      | Schedule.Act inst ->
-          let a = Activity.instance_base inst in
-          let rm = find a.Activity.subsystem fresh in
-          let service =
-            if Activity.is_inverse inst then
-              match
-                (Service.Registry.find (Rm.registry rm) a.Activity.service)
-                  .Service.compensation
-              with
-              | Service.Inverse_service inv -> inv
-              | Service.No_compensation | Service.Snapshot_undo ->
-                  failwith "explore: history replay needs inverse services"
-            else a.Activity.service
-          in
-          incr token;
-          (match Rm.invoke rm ~token:!token ~service ~attempt:max_int () with
-          | Rm.Committed _ -> ()
-          | Rm.Prepared _ | Rm.Failed | Rm.Blocked _ | Rm.Unavailable -> ok := false)
-      | Schedule.Commit _ | Schedule.Abort _ | Schedule.Group_abort _ -> ())
-    (Schedule.events history);
-  !ok
-  && List.for_all
-       (fun rm -> Store.equal_state (Rm.store rm) (Rm.store (find (Rm.name rm) fresh)))
-       rms
-
-let store_images rms =
-  List.map
-    (fun rm ->
-      ( Rm.name rm,
-        List.map (fun (k, v) -> (k, Value.to_string v)) (Store.snapshot (Rm.store rm))
-      ))
-    rms
-  |> List.sort compare
-
 (* a branch is fault-free when no failure, crash, drop or duplication
    choice was taken — only delivery order may differ from the canonical
    root branch, whose final stores such a branch must reproduce *)
@@ -470,26 +392,23 @@ let fault_free decisions crashed =
                  [ "fail:"; "crash:"; "drop:"; "dup:" ]))
        decisions
 
-(* final stores of the canonical (empty-script) branch, memoized per
+(* final subsystems of the canonical (empty-script) branch, memoized per
    scenario; [None] while being computed or when the root itself is
    unusable as a twin *)
-let twin_tbl : (string, (string * (string * string) list) list option) Hashtbl.t =
-  Hashtbl.create 8
+let twin_tbl : (string, Rm.t list option) Hashtbl.t = Hashtbl.create 8
 
 let rec twin scenario =
   match Hashtbl.find_opt twin_tbl scenario.name with
   | Some v -> v
   | None ->
       Hashtbl.replace twin_tbl scenario.name None;
-      let out, stores = run_raw scenario ~script:[] in
-      let v =
-        if out.violations = [] && not out.crashed then Some stores else None
-      in
+      let out, rms = run_raw scenario ~script:[] in
+      let v = if out.violations = [] && not out.crashed then Some rms else None in
       Hashtbl.replace twin_tbl scenario.name v;
       v
 
-(* Runs one branch and judges it against every oracle.  Returns the
-   outcome plus the final store images (for the twin comparison). *)
+(* Runs one branch and judges it with {!Tpm_oracle.Oracle}.  Returns the
+   outcome plus the branch's subsystems (for the twin comparison). *)
 and run_raw scenario ~script =
   let choice = Choice.driven ~script () in
   let rms = scenario.make_rms () in
@@ -511,69 +430,34 @@ and run_raw scenario ~script =
   List.iteri (fun i p -> Scheduler.submit t ~at:(scenario.submit_at i) p) scenario.procs;
   Scheduler.run ~until:horizon t;
   let crashed = Scheduler.is_crashed t in
-  let violations = ref [] in
-  let check name cond = if not cond then violations := name :: !violations in
-  let final =
-    if not crashed then Some t
+  let fresh = scenario.make_rms in
+  let final, violations =
+    if not crashed then (Some t, Oracle.run ~fresh t)
     else begin
-      let records = Scheduler.wal_records t in
+      let before = Scheduler.wal_records t in
       match
-        Scheduler.recover ~config ~spec:scenario.spec ~rms
-          ~procs:scenario.procs records
+        Scheduler.recover ~config ~spec:scenario.spec ~rms ~procs:scenario.procs before
       with
-      | Error e ->
-          check (Printf.sprintf "recovery failed: %s" e) false;
-          None
+      | Error e -> (None, [ Printf.sprintf "recovery failed: %s" e ])
       | Ok t2 ->
           scenario.instrument t2;
           Scheduler.run ~until:horizon t2;
-          (* presumed-abort soundness: decisions durable before the crash
-             must survive it *)
-          List.iter
-            (fun (pid, act) ->
-              check
-                (Printf.sprintf "durably committed a_{%d,%d} aborted by recovery" pid
-                   act)
-                (not (aborted_after_recovery t2 pid act));
-              check
-                (Printf.sprintf "durably committed a_{%d,%d} missing from history" pid
-                   act)
-                (forward_in_history (Scheduler.history t2) pid act))
-            (durable_commits records);
-          Some t2
+          (Some t2, Oracle.run ~fresh ~before t2)
     end
   in
   let decisions = Choice.trace choice in
-  (match final with
-  | None -> ()
-  | Some f ->
-      let h = Scheduler.history f in
-      check "did not finish" (Scheduler.finished f);
-      check "illegal history" (Schedule.legal h);
-      check "PRED violated" (Criteria.pred h);
-      check "not commit-order serializable" (Criteria.committed_serializable h);
-      check "Proc-REC violated" (Criteria.process_recoverable h);
-      check "leaked prepared token"
-        (List.for_all (fun rm -> Rm.prepared_tokens rm = []) rms);
-      (* under order enforcement the subsystem-local schedules must be
-         commit-order serializable (vacuous otherwise) *)
-      check "locals not commit-order serializable"
-        (List.for_all
-           (fun (_, l) -> Tpm_composite.Local.commit_order_serializable l)
-           (Scheduler.local_histories f));
-      check "stores not explained by history replay" (replay_explains scenario h rms));
-  let stores = store_images rms in
-  (if !violations = [] && fault_free decisions crashed then
-     match twin scenario with
-     | Some tw -> check "stores differ from fault-free twin" (stores = tw)
-     | None -> ());
+  let violations =
+    if violations = [] && fault_free decisions crashed then
+      match twin scenario with Some tw -> Oracle.same_stores rms tw | None -> []
+    else violations
+  in
   let forensics =
     lazy
       (match final with
       | Some f -> Format.asprintf "%a" (fun fmt f -> Scheduler.forensics fmt f) f
       | None -> "(no scheduler survived the branch)")
   in
-  ({ decisions; violations = List.rev !violations; crashed; forensics }, stores)
+  ({ decisions; violations; crashed; forensics }, rms)
 
 let run_branch scenario ~script = fst (run_raw scenario ~script)
 

@@ -22,12 +22,12 @@
       ({!Tpm_scheduler.Scheduler.state_fingerprint} excludes virtual
       time, deliberately — see its doc).
 
-    Every branch is checked against the full oracle suite (termination,
-    schedule legality, PRED, commit serializability, Proc-REC, leaked
-    prepared tokens, presumed-abort soundness across a crash, store
-    explainability, fault-free-twin store equality).  A violating branch
-    is greedily minimized and can be serialized to a trace file that
-    [tpm explore --replay] reproduces.
+    Every branch is judged by {!Tpm_oracle.Oracle.run} with store
+    explainability, and with presumed-abort soundness after a crash.  A
+    branch that injects no fault and no crash must also leave the same
+    stores as the canonical branch ({!Tpm_oracle.Oracle.same_stores}).
+    A violating branch is greedily minimized and can be serialized to a
+    trace file that [tpm explore --replay] reproduces.
 
     The prunings are heuristic (hence DPOR-{e lite}); [explore
     ~prune:false] enumerates the unpruned tree, and the self-test

@@ -19,6 +19,11 @@ type mode =
   | Conservative
   | Deferred
   | Quasi
+  | Naive_sr
+      (* baseline: classical serializability-only scheduling that ignores
+         recovery — no Lemma-1 gating of non-compensatable activities and
+         no anticipation of completion conflicts.  Exhibits exactly the
+         figure-1 anomaly; used by the benchmarks as a comparator. *)
 
 type backoff = {
   base : float;
@@ -60,11 +65,6 @@ type config = {
          completed schedule) — the literal "always consider S-tilde" rule
          of Section 3.5.  Definitionally exact but expensive; the default
          incremental dependency tracking approximates it. *)
-  naive_sr : bool;
-      (* baseline: classical serializability-only scheduling that ignores
-         recovery — no Lemma-1 gating of non-compensatable activities and
-         no anticipation of completion conflicts.  Exhibits exactly the
-         figure-1 anomaly; used by the benchmarks as a comparator. *)
   order : order;
       (* Section 3.6: [Strong] executes conflicting activities of
          different processes one after the other; [Weak] lets them
@@ -110,7 +110,6 @@ let default_config =
   {
     mode = Deferred;
     exact_admission = false;
-    naive_sr = false;
     order = Strong;
     seed = 1;
     service_time = (fun _ -> 1.0);
@@ -552,8 +551,12 @@ let rm_of t (a : Activity.t) =
   | Some rm -> rm
   | None -> invalid_arg (Printf.sprintf "Scheduler: unknown subsystem %s" a.subsystem)
 
-let subsystems t =
-  List.sort compare (Hashtbl.fold (fun name _ acc -> name :: acc) t.rms [])
+let rms t =
+  List.sort
+    (fun a b -> compare (Rm.name a) (Rm.name b))
+    (Hashtbl.fold (fun _ rm acc -> rm :: acc) t.rms [])
+
+let subsystems t = List.map Rm.name (rms t)
 
 let notify_subsys t rm ~ok =
   match t.subsys_observer with
@@ -787,9 +790,7 @@ let state_fingerprint t =
   |> List.sort compare
   |> List.iter (fun ((pid, act), n) -> add "%d.%d=%d;" pid act n);
   add "]";
-  Hashtbl.fold (fun _ rm acc -> rm :: acc) t.rms []
-  |> List.sort (fun a b -> compare (Rm.name a) (Rm.name b))
-  |> List.iter (fun rm -> add "{%s}" (Rm.fingerprint rm));
+  List.iter (fun rm -> add "{%s}" (Rm.fingerprint rm)) (rms t);
   add "{%s}" (Coordinator.fingerprint t.coord);
   add "bus[%s]" (Bus.pending_summary t.bus);
   add ";q%d" (Des.pending t.sim);
@@ -1374,7 +1375,7 @@ let admission_decision t pid act =
        closures) are computed here, O(n) bitset probes per admission. *)
     let would, all_latent =
       if member_admitted then (Acyclic, lazy [])
-      else if t.cfg.naive_sr then
+      else if t.cfg.mode = Naive_sr then
         ((if Deps.would_cycle t.deps new_edges then Base_cyclic else Acyclic), lazy [])
       else begin
         let c = latent_base t in
@@ -1424,7 +1425,7 @@ let admission_decision t pid act =
         in
         (Delay blockers, [], Obs.Would_cycle, witness)
     | Acyclic ->
-        if t.cfg.naive_sr then
+        if t.cfg.mode = Naive_sr then
           (* serializability-only: admit immediately, never gate on recovery *)
           (Admit_invoke, new_edges, admit_reason (), None)
         else if Activity.non_compensatable a && not t.no_lemma1 then begin
@@ -1447,6 +1448,7 @@ let admission_decision t pid act =
                 if quasi_ok_bits t preds ~row:crow ps then
                   (Admit_invoke, new_edges, Obs.Quasi_commit, None)
                 else (Admit_prepare, new_edges, Obs.Deferred_prepare, None)
+            | Naive_sr -> assert false (* admitted before the Lemma-1 gate *)
         end
         else if t.cfg.exact_admission && not (exact_ok t a) then
           ( Delay (live_pids t (List.sort_uniq compare (List.map fst new_edges))),
@@ -1580,7 +1582,7 @@ module Reference = struct
             others
       in
       let latent_edges =
-        if member_admitted || t.cfg.naive_sr then []
+        if member_admitted || t.cfg.mode = Naive_sr then []
         else begin
           let lives = List.filter live (pstates t) in
           List.concat_map
@@ -1631,7 +1633,7 @@ module Reference = struct
         in
         (Delay blockers, [])
       end
-      else if t.cfg.naive_sr then (Admit_invoke, new_edges)
+      else if t.cfg.mode = Naive_sr then (Admit_invoke, new_edges)
       else if Activity.non_compensatable a && not t.no_lemma1 then begin
         let preds =
           List.sort_uniq compare
@@ -1652,6 +1654,7 @@ module Reference = struct
           | Quasi ->
               ( (if quasi_ok t preds pid service then Admit_invoke else Admit_prepare),
                 new_edges )
+          | Naive_sr -> assert false (* admitted before the Lemma-1 gate *)
       end
       else if t.cfg.exact_admission && not (exact_ok t a) then
         (Delay (List.sort_uniq compare (List.map fst new_edges)), [])

@@ -27,7 +27,8 @@
     the log after a crash and finishes every interrupted process. *)
 
 (** Handling of non-compensatable activities with uncommitted conflicting
-    predecessors (Lemma 1). *)
+    predecessors (Lemma 1) — or no recovery-aware admission at all
+    ([Naive_sr]). *)
 type mode =
   | Conservative  (** delay the activity until all predecessors committed *)
   | Deferred
@@ -37,6 +38,11 @@ type mode =
       (** [Deferred], plus immediate commit when the quasi-commit condition
           of figure 9 holds (predecessors forward-recoverable with
           conflict-free completions) *)
+  | Naive_sr
+      (** baseline comparator: serializability-only scheduling that ignores
+          recovery (no Lemma-1 gating, no completion anticipation) — it
+          reproduces the figure-1 anomaly and its histories may violate
+          PRED *)
 
 (** Retry policy for transient invocation failures (injected failures,
     timeouts, outage polls): capped exponential backoff with optional
@@ -93,11 +99,6 @@ type config = {
       (** ablation: additionally verify, per admission, that the extended
           history remains reducible — the literal "consider the completed
           schedule" rule of Section 3.5.  Exact but expensive. *)
-  naive_sr : bool;
-      (** baseline comparator: serializability-only scheduling that ignores
-          recovery (no Lemma-1 gating, no completion anticipation) — it
-          reproduces the figure-1 anomaly and its histories may violate
-          PRED. *)
   order : order;
       (** Section 3.6.  [Strong] (default): a conflicting in-flight or
           prepared activity of another process blocks admission.  [Weak]:
@@ -235,6 +236,9 @@ val service_pressure : t -> string -> int
 val subsystems : t -> string list
 (** Names of the registered resource managers, sorted — the server
     validates untrusted submissions against it before admission. *)
+
+val rms : t -> Tpm_subsys.Rm.t list
+(** The registered resource managers, sorted by name. *)
 
 val set_subsystem_observer : t -> (subsystem:string -> ok:bool -> unit) -> unit
 (** Installs an availability observer: called with [ok:false] on every

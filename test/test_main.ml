@@ -29,4 +29,5 @@ let () =
       ("retire", Test_retire.suite);
       ("baseline", Test_baseline.suite);
       ("wakeup", Test_wakeup.suite);
+      ("oracle", Test_oracle.suite);
     ]

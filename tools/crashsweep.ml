@@ -2,18 +2,11 @@
    appends and 2PC message deliveries, then re-run it crashing right after
    every k-th append AND right after every k-th message delivery (via the
    fault plan's crash triggers), recover from the log, finish, and assert
-   on every crash position that
-
-   - the crash fired exactly where scripted,
-   - every process reaches a terminal state after recovery,
-   - the recovered history is legal and prefix-reducible,
-   - no prepared (in-doubt 2PC) invocation leaks at any subsystem,
-   - recovery never contradicts a durable coordinator decision: an
-     activity whose coordinator logged [Coord_committed] before the crash
-     is re-delivered and committed, never aborted (presumed-abort
-     soundness at every message-loss point),
-   - the surviving subsystem stores are exactly explained by the recovered
-     history: replaying it into fresh subsystems yields equal stores.
+   on every crash position that the crash fired exactly where scripted
+   and that the recovered run passes {!Tpm_oracle.Oracle.run} — with
+   presumed-abort soundness against the crash image and store
+   explainability.  The disk, server, page and composite axes below
+   crash at other points and judge the same way, except where noted.
 
    Runs as part of `dune runtest` (see tools/dune); knobs are compiled in
    and kept small so the sweep stays fast. *)
@@ -22,12 +15,11 @@ module Scheduler = Tpm_scheduler.Scheduler
 module Generator = Tpm_workload.Generator
 module Faults = Tpm_sim.Faults
 module Rm = Tpm_subsys.Rm
-module Service = Tpm_subsys.Service
 module Store = Tpm_kv.Store
 module Wal = Tpm_wal.Wal
 module Obs = Tpm_obs.Obs
 module Compose = Tpm_composite.Compose
-module Local = Tpm_composite.Local
+module Oracle = Tpm_oracle.Oracle
 
 (* every sweep run carries a small ring tracer so a failing crash point
    dumps its last trace events + metrics snapshot straight into the CI log *)
@@ -56,48 +48,16 @@ let modes =
   ]
 
 let fresh_rms seed = Generator.rms params ~fail_prob:(fun _ -> fail_rate) ~seed ()
+
+(* failure-free twins of [fresh_rms] for the oracle's history replay *)
+let replay_rms seed () = Generator.rms params ~seed ()
+
 let procs_of seed = Generator.batch ~seed:(seed * 100) params ~n:n_procs
 
 (* [abort] = (at, pid) also requests that process's abort at [at] *)
 let submit_all ?abort t procs =
   List.iteri (fun i p -> Scheduler.submit t ~at:(0.4 *. float_of_int i) p) procs;
   Option.iter (fun (at, pid) -> Scheduler.request_abort t ~at pid) abort
-
-(* Replay every occurrence of the history, in emission (= effect) order,
-   into fresh subsystems; compensations re-invoke the declared inverse.
-   The sweep's processes carry no invocation arguments, so the replayed
-   invocations are argument-identical to the originals. *)
-let replay_explains history rms ~seed =
-  let reg = Generator.registry params in
-  let fresh = Generator.rms params ~seed () in
-  let find name l = List.find (fun rm -> Rm.name rm = name) l in
-  let token = ref 0 in
-  let ok = ref true in
-  List.iter
-    (function
-      | Schedule.Act inst ->
-          let a = Activity.instance_base inst in
-          let service =
-            if Activity.is_inverse inst then
-              match (Service.Registry.find reg a.Activity.service).Service.compensation with
-              | Service.Inverse_service inv -> inv
-              | Service.No_compensation | Service.Snapshot_undo ->
-                  failwith "crashsweep: history replay needs inverse services"
-            else a.Activity.service
-          in
-          incr token;
-          (match
-             Rm.invoke (find a.Activity.subsystem fresh) ~token:!token ~service
-               ~attempt:max_int ()
-           with
-          | Rm.Committed _ -> ()
-          | Rm.Prepared _ | Rm.Failed | Rm.Blocked _ | Rm.Unavailable -> ok := false)
-      | Schedule.Commit _ | Schedule.Abort _ | Schedule.Group_abort _ -> ())
-    (Schedule.events history);
-  !ok
-  && List.for_all
-       (fun rm -> Store.equal_state (Rm.store rm) (Rm.store (find (Rm.name rm) fresh)))
-       rms
 
 (* one fault-free run to learn the total number of WAL appends and 2PC
    message deliveries — the two crash-point axes *)
@@ -113,137 +73,65 @@ let baseline ?abort ~seed ~mode () =
     failwith (Printf.sprintf "crashsweep: baseline seed=%d did not finish" seed);
   (List.length (Scheduler.wal_records t), Scheduler.msg_deliveries t)
 
-(* (pid, act) pairs whose coordinator durably logged the commit decision
-   before the crash: [Coord_begin] names the activity, [Coord_committed]
-   seals its fate *)
-let durable_commits records =
-  let acts = Hashtbl.create 8 in
-  List.iter
-    (function
-      | Wal.Coord_begin { cid; pid; act; _ } -> Hashtbl.replace acts cid (pid, act)
-      | _ -> ())
-    records;
-  List.filter_map
-    (function
-      | Wal.Coord_committed { cid; _ } -> Hashtbl.find_opt acts cid
-      | _ -> None)
-    records
-  |> List.sort_uniq compare
-
-let aborted_after_recovery t2 pid act =
-  List.exists
-    (function
-      | Wal.Prepared_decided { pid = p; act = a; commit = false } -> p = pid && a = act
-      | _ -> false)
-    (Scheduler.wal_records t2)
-
-let forward_in_history h pid act =
-  List.exists
-    (function
-      | Schedule.Act inst ->
-          (not (Activity.is_inverse inst))
-          && Activity.instance_proc inst = pid
-          && (Activity.instance_base inst).Activity.id.Activity.act = act
-      | Schedule.Commit _ | Schedule.Abort _ | Schedule.Group_abort _ -> false)
-    (Schedule.events h)
-
-let recover_and_check ?(groups = []) ~complain ~check ~config ~spec ~rms ~procs ~seed records
-    =
-  let durable = durable_commits records in
+(* recover from [records] with the same subsystems (they survive the
+   crash), finish, and judge the recovered run with the full oracle
+   suite: presumed-abort soundness against [records], and stores
+   explained by replaying the recovered history into fresh subsystems
+   (the sweep's processes carry no invocation arguments) *)
+let recover_and_check ?(groups = []) ~complain ~config ~spec ~rms ~procs ~seed records =
   match Scheduler.recover ~config ~tracer:(mk_tracer ()) ~groups ~spec ~rms ~procs records with
   | Error e -> complain ("recovery failed: " ^ e)
   | Ok t2 ->
-      let failed = ref false in
-      let check name cond =
-        if not cond then failed := true;
-        check name cond
-      in
       Scheduler.run ~until:horizon t2;
-      let h = Scheduler.history t2 in
-      check "not finished after recovery" (Scheduler.finished t2);
-      check "illegal recovered history" (Schedule.legal h);
-      check "recovered history not PRED" (Criteria.pred h);
-      check "leaked prepared invocation"
-        (List.for_all (fun rm -> Rm.prepared_tokens rm = []) rms);
-      check "stores not explained by recovered history" (replay_explains h rms ~seed);
-      (* under order enforcement the post-crash local schedules must stay
-         commit-order serializable (vacuous when enforcement is off) *)
-      check "recovered locals not commit-order serializable"
-        (List.for_all
-           (fun (_, l) -> Tpm_composite.Local.commit_order_serializable l)
-           (Scheduler.local_histories t2));
-      (* presumed-abort soundness: a decision the coordinator made durable
-         must never be contradicted by recovery, however many messages
-         were lost in the crash *)
-      List.iter
-        (fun (pid, act) ->
-          check
-            (Printf.sprintf "durably committed a_{%d,%d} aborted by recovery" pid act)
-            (not (aborted_after_recovery t2 pid act));
-          check
-            (Printf.sprintf "durably committed a_{%d,%d} missing from history" pid act)
-            (forward_in_history h pid act))
-        durable;
-      if !failed then Scheduler.forensics Format.std_formatter t2
+      let violations = Oracle.run ~fresh:(replay_rms seed) ~before:records t2 in
+      List.iter complain violations;
+      if violations <> [] then Scheduler.forensics Format.std_formatter t2
 
+(* Axes 1 and 2: crash right after the k-th WAL append, and right after
+   the k-th 2PC message delivery.  An append trigger must fire and cut
+   the log at exactly k records.  A delivery trigger routes messages
+   through the event queue, so the delivery count may differ slightly
+   from the synchronous baseline: positions past the end never fire, and
+   the uncrashed run must then pass the oracle suite itself. *)
 let sweep ~seed ~mode_name ~mode =
   let appends, deliveries = baseline ~seed ~mode () in
   let spec = Generator.spec params in
   let procs = procs_of seed in
   let config = { Scheduler.default_config with mode; seed } in
   let failures = ref 0 in
-  (* axis 1: crash after every WAL append *)
-  for k = 1 to appends do
-    let complain name =
-      incr failures;
-      Format.printf "seed=%d mode=%s crash@%d: %s@." seed mode_name k name
-    in
-    let check name cond = if not cond then complain name in
-    let rms = fresh_rms seed in
-    let t =
-      Scheduler.create ~config
-        ~faults:(Faults.make ~crash_after_appends:k ())
-        ~tracer:(mk_tracer ()) ~spec ~rms ()
-    in
-    submit_all t procs;
-    Scheduler.run ~until:horizon t;
-    let records = Scheduler.wal_records t in
-    let pre_failed = ref false in
-    let pre_check name cond =
-      if not cond then pre_failed := true;
-      check name cond
-    in
-    pre_check "crash trigger did not fire" (Scheduler.is_crashed t);
-    pre_check "log longer than the crash point" (List.length records = k);
-    if !pre_failed then Scheduler.forensics Format.std_formatter t;
-    recover_and_check ~complain ~check ~config ~spec ~rms ~procs ~seed records
-  done;
-  (* axis 2: crash after every 2PC message delivery.  The trigger routes
-     messages through the event queue, so the delivery count may differ
-     slightly from the synchronous baseline; positions past the end simply
-     never fire and the run must finish normally. *)
-  for k = 1 to deliveries do
-    let complain name =
-      incr failures;
-      Format.printf "seed=%d mode=%s crash-delivery@%d: %s@." seed mode_name k name
-    in
-    let check name cond = if not cond then complain name in
-    let rms = fresh_rms seed in
-    let t =
-      Scheduler.create ~config
-        ~faults:(Faults.make ~crash_after_deliveries:k ())
-        ~tracer:(mk_tracer ()) ~spec ~rms ()
-    in
-    submit_all t procs;
-    Scheduler.run ~until:horizon t;
-    if Scheduler.is_crashed t then
-      recover_and_check ~complain ~check ~config ~spec ~rms ~procs ~seed
-        (Scheduler.wal_records t)
-    else if not (Scheduler.finished t) then begin
-      complain "no crash and not finished";
-      Scheduler.forensics Format.std_formatter t
-    end
-  done;
+  let triggers =
+    [
+      ("crash", appends, (fun k -> Faults.make ~crash_after_appends:k ()), true);
+      ("crash-delivery", deliveries, (fun k -> Faults.make ~crash_after_deliveries:k ()), false);
+    ]
+  in
+  List.iter
+    (fun (label, n, faults, exact) ->
+      for k = 1 to n do
+        let complain name =
+          incr failures;
+          Format.printf "seed=%d mode=%s %s@%d: %s@." seed mode_name label k name
+        in
+        let rms = fresh_rms seed in
+        let t =
+          Scheduler.create ~config ~faults:(faults k) ~tracer:(mk_tracer ()) ~spec ~rms ()
+        in
+        submit_all t procs;
+        Scheduler.run ~until:horizon t;
+        let records = Scheduler.wal_records t in
+        let pre =
+          if not (Scheduler.is_crashed t) then
+            (if exact then [ "crash trigger did not fire" ] else [])
+            @ Oracle.run ~fresh:(replay_rms seed) t
+          else if exact && List.length records <> k then [ "log longer than the crash point" ]
+          else []
+        in
+        List.iter complain pre;
+        if pre <> [] then Scheduler.forensics Format.std_formatter t
+        else if Scheduler.is_crashed t then
+          recover_and_check ~complain ~config ~spec ~rms ~procs ~seed records
+      done)
+    triggers;
   Format.printf
     "crashsweep: seed=%d mode=%s %d append + %d delivery crash points, %d failures@."
     seed mode_name appends deliveries !failures;
@@ -367,7 +255,7 @@ let disk_sweep ?abort ~seed ~mode_name ~mode ~stride ~flip_stride () =
               (report.Wal.records = List.filteri (fun i _ -> i < durable) mem);
             check "torn tail not reported"
               (match report.Wal.anomalies with [ Wal.Torn_tail _ ] -> true | _ -> false);
-            recover_and_check ~complain ~check ~config ~spec ~rms ~procs ~seed
+            recover_and_check ~complain ~config ~spec ~rms ~procs ~seed
               report.Wal.records);
     k := !k + stride
   done;
@@ -575,7 +463,7 @@ let serve_sweep ~seed ~policy_name ~policy ~stride =
     serve_drive srv script;
     check "crash trigger did not fire" (Scheduler.is_crashed sched);
     check "shed accounting violated at the crash point" (Server.accounting_ok srv);
-    recover_and_check ~complain ~check ~config:(serve_config seed)
+    recover_and_check ~complain ~config:(serve_config seed)
       ~spec:(Generator.spec params) ~rms ~procs:(Server.admitted_procs srv) ~seed
       (Scheduler.wal_records sched);
     k := !k + stride
@@ -909,7 +797,7 @@ let composite_sweep ~seed ~stride =
     Scheduler.run ~until:horizon t;
     let records = Scheduler.wal_records t in
     check "crash trigger did not fire" (Scheduler.is_crashed t);
-    recover_and_check ~groups:composite_groups ~complain ~check ~config ~spec ~rms ~procs
+    recover_and_check ~groups:composite_groups ~complain ~config ~spec ~rms ~procs
       ~seed records;
     k := !k + stride
   done;

@@ -1,6 +1,6 @@
 (* Randomized stress of the scheduler: many seeds, modes, failure rates,
-   outage plans and message-fault plans; checks termination, legality and
-   PRED of every emitted history.  Under pure message faults (loss,
+   outage plans and message-fault plans; every run is judged by
+   {!Tpm_oracle.Oracle.run}.  Under pure message faults (loss,
    duplication, reordering — no invocation failures) the final subsystem
    stores must additionally be identical to a fault-free run of the same
    seed: the 2PC retransmission and termination protocol may delay
@@ -20,9 +20,9 @@ module Generator = Tpm_workload.Generator
 module Faults = Tpm_sim.Faults
 module Prng = Tpm_sim.Prng
 module Rm = Tpm_subsys.Rm
-module Store = Tpm_kv.Store
 module Obs = Tpm_obs.Obs
 module Wal = Tpm_wal.Wal
+module Oracle = Tpm_oracle.Oracle
 
 let mode_of_name = function
   | "conservative" -> Scheduler.Conservative
@@ -143,8 +143,9 @@ let speclist =
        (failure forensics)" );
     ( "--inject-failure",
       Arg.Set inject_failure,
-      " artificially fail the first run's invariant check (CI self-test: \
-       asserts the forensics dump machinery fires)" );
+      " leak a prepared token in the first run, so its oracle check must \
+       fail (CI self-test: asserts the failure path and the forensics dump \
+       fire)" );
     ( "--sync-policy",
       Arg.String parse_sync_policy,
       "P mirror every run's WAL to disk under sync policy none|each|group:W \
@@ -203,6 +204,15 @@ let speclist =
       "LIST overload policies among reject,queue,degrade for --serve \
        (default all)" );
   ]
+
+(* Counts a judged run as one failure when it violated anything, printing
+   its repro prefix and every violation, then the forensics. *)
+let judge failures ?(forensics = ignore) repro violations =
+  if violations <> [] then begin
+    incr failures;
+    Format.printf "%s %s@." repro (String.concat "; " violations);
+    forensics ()
+  end
 
 (* --- server-mode stress ---
 
@@ -277,26 +287,12 @@ let serve_stress () =
                  incr failures;
                  Format.printf "%s EXCEPTION %s@." (repro ()) (Printexc.to_string e);
                  dump_forensics ());
-              let c = Server.counters srv in
-              let h = Scheduler.history sched in
-              let ok_finished = Scheduler.finished sched in
-              let ok_legal = Schedule.legal h in
-              let ok_pred = Criteria.pred h in
-              let ok_account = Server.accounting_ok srv in
-              let ok_offered = c.Server.offered = List.length script in
-              let ok_tokens = List.for_all (fun rm -> Rm.prepared_tokens rm = []) rms in
-              if
-                not
-                  (ok_finished && ok_legal && ok_pred && ok_account && ok_offered
-                 && ok_tokens)
-              then begin
-                incr failures;
-                Format.printf
-                  "%s finished=%b legal=%b pred=%b accounting=%b offered=%b tokens=%b@."
-                  (repro ()) ok_finished ok_legal ok_pred ok_account ok_offered
-                  ok_tokens;
-                dump_forensics ()
-              end;
+              judge failures ~forensics:dump_forensics (repro ())
+                (Oracle.run sched
+                @ (if Server.accounting_ok srv then [] else [ "shed accounting violated" ])
+                @
+                if (Server.counters srv).Server.offered = List.length script then []
+                else [ "offered count differs from the script" ]);
               (* the transparency oracle: closed-batch twin of the admitted
                  subset (fault-free, so every admitted process commits in
                  both worlds and the stores must agree exactly) *)
@@ -311,17 +307,10 @@ let serve_stress () =
                  incr failures;
                  Format.printf "%s TWIN-EXCEPTION %s@." (repro ())
                    (Printexc.to_string e));
-              let same =
-                List.for_all2
-                  (fun rm rm0 -> Store.equal_state (Rm.store rm) (Rm.store rm0))
-                  rms rms0
-              in
-              if not same then begin
-                incr failures;
-                Format.printf "%s STORE-DIVERGENCE from closed-batch twin (%d admitted)@."
-                  (repro ()) (List.length admitted);
-                dump_forensics ()
-              end)
+              judge failures ~forensics:dump_forensics
+                (Printf.sprintf "%s closed-batch twin of %d admitted:" (repro ())
+                   (List.length admitted))
+                (Oracle.same_stores rms rms0))
             !offered_loads)
         !overload_policies)
     !seeds;
@@ -380,15 +369,7 @@ let sharded_stress () =
       | scheds ->
           List.iteri
             (fun i t ->
-              let h = Scheduler.history t in
-              let ok_finished = Scheduler.finished t in
-              let ok_legal = Schedule.legal h in
-              let ok_pred = Criteria.pred h in
-              if not (ok_finished && ok_legal && ok_pred) then begin
-                incr failures;
-                Format.printf "%s shard=%d finished=%b legal=%b pred=%b@."
-                  (repro ()) i ok_finished ok_legal ok_pred
-              end)
+              judge failures (Printf.sprintf "%s shard=%d" (repro ()) i) (Oracle.run t))
             scheds;
           let covered =
             List.concat_map
@@ -468,16 +449,9 @@ let sharded_stress () =
                          incr failures;
                          Format.printf "%s shard=%d RECOVERY-RUN-EXCEPTION %s@."
                            (repro ()) i (Printexc.to_string e));
-                      let h2 = Scheduler.history t2 in
-                      if
-                        not
-                          (Scheduler.finished t2 && Schedule.legal h2
-                         && Criteria.pred h2)
-                      then begin
-                        incr failures;
-                        Format.printf "%s shard=%d RECOVERED-INVARIANTS@."
-                          (repro ()) i
-                      end;
+                      judge failures
+                        (Printf.sprintf "%s shard=%d recovered:" (repro ()) i)
+                        (Oracle.run ~before:report.Wal.records t2);
                       List.iter
                         (fun p ->
                           let pid = Process.pid p in
@@ -561,18 +535,12 @@ let churn_stress () =
              incr failures;
              Format.printf "%s EXCEPTION %s@." (repro ()) (Printexc.to_string e));
           ignore (Scheduler.gc_deps t);
-          let h = Scheduler.history t in
-          let ok_finished = Scheduler.finished t in
-          let ok_legal = Schedule.legal h in
-          let ok_pred = Criteria.pred h in
-          let ok_latent =
-            match Scheduler.latent_self_check t with Ok () -> true | Error _ -> false
-          in
-          if not (ok_finished && ok_legal && ok_pred && ok_latent) then begin
-            incr failures;
-            Format.printf "%s finished=%b legal=%b pred=%b latent=%b@." (repro ())
-              ok_finished ok_legal ok_pred ok_latent
-          end)
+          judge failures (repro ())
+            (Oracle.run t
+            @
+            match Scheduler.latent_self_check t with
+            | Ok () -> []
+            | Error msg -> [ "LATENT-DIVERGENCE " ^ msg ]))
         !modes)
     !seeds;
   Format.printf "stress --churn: %d runs, %d failures@." !runs !failures;
@@ -737,22 +705,17 @@ let () =
                         end
                         else t
                       in
-                      let h = Scheduler.history t in
-                      let ok_finished = Scheduler.finished t in
-                      let ok_legal = Schedule.legal h in
-                      let ok_pred = Criteria.pred h in
-                      let ok_tokens =
-                        List.for_all (fun rm -> Rm.prepared_tokens rm = []) rms
-                      in
-                      let injected = !inject_failure && !runs = 1 in
-                      if injected || not (ok_finished && ok_legal && ok_pred && ok_tokens)
-                      then begin
-                        incr failures;
-                        Format.printf "%s finished=%b legal=%b pred=%b tokens=%b%s@."
-                          (repro ()) ok_finished ok_legal ok_pred ok_tokens
-                          (if injected then " INJECTED-FAILURE" else "");
-                        dump_forensics t
+                      (* the self-test leaks a prepared token in the first
+                         run, which the oracle must catch *)
+                      if !inject_failure && !runs = 1 then begin
+                        let a = List.hd (Process.activities (List.hd procs)) in
+                        let rm = List.find (fun rm -> Rm.name rm = a.Activity.subsystem) rms in
+                        ignore
+                          (Rm.prepare rm ~token:max_int ~service:a.Activity.service
+                             ~attempt:max_int ())
                       end;
+                      judge failures ~forensics:(fun () -> dump_forensics t) (repro ())
+                        (Oracle.run t);
                       (* pure message faults never change outcomes: the final
                          stores must equal a fault-free run of the same seed *)
                       if
@@ -765,18 +728,9 @@ let () =
                           (fun i p -> Scheduler.submit t0 ~at:(0.4 *. float_of_int i) p)
                           procs;
                         guarded t0 (fun () -> Scheduler.run ~until:100000.0 t0);
-                        let same =
-                          List.for_all2
-                            (fun rm rm0 ->
-                              Store.equal_state (Rm.store rm) (Rm.store rm0))
-                            rms rms0
-                        in
-                        if not same then begin
-                          incr failures;
-                          Format.printf "%s STORE-DIVERGENCE from fault-free twin@."
-                            (repro ());
-                          dump_forensics t
-                        end
+                        judge failures ~forensics:(fun () -> dump_forensics t)
+                          (repro () ^ " fault-free twin:")
+                          (Oracle.same_stores rms rms0)
                       end;
                       Option.iter
                         (fun dir ->
