@@ -10,8 +10,10 @@
     {b no dirty page reaches disk while its [page_lsn] exceeds the WAL's
     honest durable marker} ({!Flush_ahead_of_durable} would be raised at
     the write, and the page-crash sweep asserts it never is).  When
-    eviction finds only unflushable victims it first forces a WAL sync;
-    if the marker still does not cover them — a lying-fsync window — the
+    eviction finds only unflushable victims it first forces a WAL sync
+    (under [Sync_each] a page write does not force the log itself, so
+    this sync is how a page dirtied ahead of its witness record gets
+    out); if the marker still does not cover them — a lying-fsync window — the
     pool over-commits an extra frame rather than violate the rule or
     deadlock, so a 1-frame pool stays live under any workload.
 

@@ -85,7 +85,11 @@ val connect_wal :
     position); [durable_lsn]/[force_durable] feed the buffer pool's
     flush rule ({!Bufpool.set_wal}).  Every mutation is logged {e before}
     it touches a page, so the page's [page_lsn] is always covered by the
-    log.  @raise Invalid_argument on an in-memory store. *)
+    log.  Under [Sync_each] the [Kv_write] does not force the log: a
+    direct {!set} or {!delete} is durable at the next forcing append, the
+    next WAL-rule flush (the pool forces the log before the page may
+    reach disk) or the next [Wal.sync], whichever comes first.
+    @raise Invalid_argument on an in-memory store. *)
 
 val bufpool : t -> Bufpool.t option
 (** The paged backend's pool ([None] for in-memory stores): stats,

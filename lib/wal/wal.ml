@@ -60,18 +60,30 @@ type record =
     }
 
 (* Under [Sync_each], the records that witness an effect (an activity,
-   a compensation, a page write, a 2PC vote or decision) or decide an
-   outcome (a termination, a checkpoint) force the log when appended.
-   The rest are read by no recovery path ([Process_registered] only
-   names a process; losing it with no later effect leaves the plan
-   unchanged) and stay buffered until the next forcing record's fsync,
-   which covers the whole prefix. *)
+   a compensation, a 2PC vote or decision) or decide an outcome (a
+   termination, a checkpoint) force the log when appended.  The rest
+   stay buffered until the next forcing record's fsync, which covers the
+   whole prefix.  Most are read by no recovery path ([Process_registered]
+   only names a process; losing it with no later effect leaves the plan
+   unchanged).  [Kv_write] is read by page redo, but it rides its
+   witness's fsync:
+   - every local commit's [Kv_write]s are followed, in the same
+     synchronous block, by a forcing witness: [Rm.invoke] by [Invoked],
+     [Rm.compensate] by [Compensated], [Rm.commit_prepared] by
+     [Prepared_decided];
+   - the buffer pool's WAL rule still forces the log before a page that
+     carries an unforced [Kv_write] reaches disk;
+   - so a crash before the witness loses the writes with the witness,
+     and page redo rebuilds the store from what is durable.  (If a
+     WAL-rule sync made some of the writes durable first, the image is
+     the one a crash just after those writes leaves under any policy.)
+   [Dirty_pages] keeps forcing: it rides with checkpoints. *)
 let forces = function
   | Invoked _ | Prepared _ | Prepared_decided _ | Compensated _ | Process_committed _
   | Process_aborted _ | Checkpoint _ | Ckpt_end _ | Coord_begin _ | Coord_committed _
-  | Kv_write _ | Dirty_pages _ -> true
+  | Dirty_pages _ -> true
   | Process_registered _ | Commit_requested _ | Abort_requested _ | Ckpt_begin _
-  | Coord_forgotten _ -> false
+  | Coord_forgotten _ | Kv_write _ -> false
 
 type sync_policy =
   | No_sync

@@ -100,10 +100,14 @@ type sync_policy =
       (** the default: flush + fsync on every append whose record
           witnesses an effect or decides an outcome — every kind except
           [Process_registered], [Commit_requested], [Abort_requested],
-          [Ckpt_begin] and [Coord_forgotten], which no recovery path
-          needs.  Those stay buffered until the next forcing append's
-          fsync covers them, so the durable log is always a prefix of
-          the appended one. *)
+          [Ckpt_begin], [Coord_forgotten] and [Kv_write].  The first
+          five are read by no recovery path; a [Kv_write] is always
+          followed, in the same synchronous block, by the forcing record
+          that witnesses its local commit, and the buffer pool forces
+          the log before a page carrying it reaches disk.  Lazy records
+          stay buffered until the next forcing append's fsync (or an
+          explicit {!sync}) covers them, so the durable log is always a
+          prefix of the appended one. *)
   | Group of float
       (** group commit: appends buffer in the OS, one fsync per batch
           window (virtual-time seconds); a record is durable only once a

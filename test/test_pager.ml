@@ -340,6 +340,63 @@ let test_salvage_with_full_redo () =
   check Alcotest.bool "salvage + full redo = expected" true
     (Store.equal_state recovered expected)
 
+(* Under [Sync_each] a page write does not force the log: it rides the
+   fsync of the record that witnesses its local commit, or the sync the
+   WAL rule forces before its page may reach disk. *)
+let test_lazy_kv_write_wal_rule () =
+  let ppath = tmp_file ".pages" in
+  let wpath = tmp_file ".log" in
+  at_exit (fun () -> List.iter Sys.remove (Wal.segment_files wpath));
+  let s = Store.create_paged ~frames:1 ~page_size:256 ppath in
+  let wal = Wal.create ~path:wpath () in
+  Store.connect_wal s
+    ~log:(fun key value ->
+      Wal.append wal (Wal.Kv_write { rm = "s"; key; value });
+      Wal.size wal)
+    ~durable_lsn:(fun () -> (Wal.stats wal).Wal.durable_records)
+    ~force_durable:(fun () -> ignore (Wal.sync wal));
+  let pool = Option.get (Store.bufpool s) in
+  let fsyncs () = (Wal.stats wal).Wal.fsyncs in
+  let wal_syncs () = (Bufpool.stats pool).Bufpool.wal_syncs in
+  Store.set s "a" (Value.Int 1);
+  check Alcotest.int "a page write appends without an fsync" 0 (fsyncs ());
+  check Alcotest.int "and stays pending" 1 (Wal.pending wal);
+  (* evicting the page: the WAL rule forces exactly one sync first *)
+  let syncs0 = wal_syncs () in
+  (match Bufpool.alloc pool with
+  | exception Bufpool.Flush_ahead_of_durable _ -> Alcotest.fail "page flushed ahead of the log"
+  | _ -> ());
+  check Alcotest.int "eviction forced one sync" (syncs0 + 1) (wal_syncs ());
+  check Alcotest.int "one fsync" 1 (fsyncs ());
+  check Alcotest.int "the page reached disk" 1 (Bufpool.stats pool).Bufpool.flushes;
+  check Alcotest.int "the write is durable" 1 (Wal.stats wal).Wal.durable_records;
+  (* a page write then its witness: one fsync covers both *)
+  Store.set s "b" (Value.Int 2);
+  check Alcotest.int "no fsync for the second write" 1 (fsyncs ());
+  Wal.append wal (Wal.Invoked { pid = 1; act = 1 });
+  check Alcotest.int "the witness fsyncs once" 2 (fsyncs ());
+  check Alcotest.int "write and witness durable together" 3
+    (Wal.stats wal).Wal.durable_records;
+  (* crash between a write and its witness: both are lost *)
+  let before = Store.create () in
+  Store.set before "a" (Value.Int 1);
+  Store.set before "b" (Value.Int 2);
+  Store.set s "c" (Value.Int 3);
+  Store.freeze s;
+  Wal.crash_image wal;
+  Pager.close (Bufpool.pager pool);
+  let image = (Wal.load wpath).Wal.records in
+  check Alcotest.int "four records appended" 4 (Wal.size wal);
+  check Alcotest.bool "the image ends at the last witness, without the lost write" true
+    (image = List.filteri (fun i _ -> i < 3) (Wal.records wal));
+  let recovered, anomalies = Store.open_paged ~frames:1 ppath in
+  check Alcotest.int "clean reopen" 0 (List.length anomalies);
+  let plan = Recovery.kv_redo ~rm:"s" image in
+  List.iter (fun (lsn, k, v) -> Store.redo recovered ~lsn k v) plan.Recovery.ops;
+  check Alcotest.bool "the unwitnessed write is gone" false (Store.mem recovered "c");
+  check Alcotest.bool "the store is as before that local commit" true
+    (Store.equal_state recovered before)
+
 let test_kv_redo_bound () =
   let w k i = Wal.Kv_write { rm = "r"; key = k; value = Some (string_of_int i) } in
   (* no snapshot: redo starts at 1 *)
@@ -382,4 +439,5 @@ let suite =
     Alcotest.test_case "crash, reopen, bounded redo" `Quick test_open_paged_redo_roundtrip;
     Alcotest.test_case "salvage + full redo" `Quick test_salvage_with_full_redo;
     Alcotest.test_case "kv_redo bound" `Quick test_kv_redo_bound;
+    Alcotest.test_case "lazy page write rides its witness" `Quick test_lazy_kv_write_wal_rule;
   ]

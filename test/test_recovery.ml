@@ -11,6 +11,8 @@ module Cim = Tpm_workload.Cim
 module Rm = Tpm_subsys.Rm
 module Store = Tpm_kv.Store
 module Value = Tpm_kv.Value
+module Bufpool = Tpm_kv.Bufpool
+module Obs = Tpm_obs.Obs
 
 let check = Alcotest.check
 
@@ -65,14 +67,14 @@ let test_create_refuses_existing_log () =
 
 (* The record kinds [Sync_each] forces, listed here independently of the
    WAL's own predicate: every record that witnesses an effect or decides
-   an outcome.  The other five kinds stay buffered until the next forcing
-   append. *)
+   an outcome.  The other six kinds stay buffered until the next forcing
+   append; a page write ([Kv_write]) rides its witness's fsync. *)
 let forcing = function
   | Wal.Invoked _ | Wal.Prepared _ | Wal.Prepared_decided _ | Wal.Compensated _
   | Wal.Process_committed _ | Wal.Process_aborted _ | Wal.Checkpoint _ | Wal.Ckpt_end _
-  | Wal.Coord_begin _ | Wal.Coord_committed _ | Wal.Kv_write _ | Wal.Dirty_pages _ -> true
+  | Wal.Coord_begin _ | Wal.Coord_committed _ | Wal.Dirty_pages _ -> true
   | Wal.Process_registered _ | Wal.Commit_requested _ | Wal.Abort_requested _
-  | Wal.Ckpt_begin _ | Wal.Coord_forgotten _ -> false
+  | Wal.Ckpt_begin _ | Wal.Coord_forgotten _ | Wal.Kv_write _ -> false
 
 (* the longest prefix of [records] that ends in a forcing record *)
 let forced_prefix records =
@@ -971,6 +973,82 @@ let test_group_commit_scheduler () =
   check Alcotest.int "group commit loses nothing once quiescent"
     each_stats.Wal.durable_records group_stats.Wal.durable_records
 
+(* Under [Sync_each] a page write does not force the log; it rides the
+   fsync of the record that witnesses its local commit.  So whenever an
+   activity occurrence or a process commit is announced, the durable log
+   covers every page write appended so far.  The run is shaped like the
+   durable benchmark: paged 4-frame stores, 24 processes, 5 % invocation
+   failures, 2PC rounds, and one abort request so compensations write
+   pages too. *)
+let test_page_writes_durable_at_witness () =
+  with_tmp_wal_dir @@ fun path ->
+  let dir = Filename.dirname path in
+  let params =
+    {
+      Generator.default_params with
+      services = 10;
+      conflict_density = 0.1;
+      activities_min = 3;
+      activities_max = 6;
+      subsystems = 3;
+    }
+  in
+  let seed = 7 in
+  let registry = Generator.registry params in
+  let rms =
+    List.init params.Generator.subsystems (fun i ->
+        let name = Printf.sprintf "ss%d" i in
+        let store =
+          Store.create_paged ~frames:4 ~page_size:1024 (Filename.concat dir (name ^ ".pages"))
+        in
+        Rm.create ~name ~registry ~fail_prob:(fun _ -> 0.05) ~seed:(seed + i) ~store ())
+  in
+  let sched = ref None in
+  let witnessed = ref 0 and uncovered = ref [] in
+  let sink =
+    Obs.Sink.make (fun ts ev ->
+        match (ev, !sched) with
+        | (Obs.Occurrence _ | Obs.Commit _), Some t ->
+            let last_kv = ref 0 in
+            List.iteri
+              (fun i r -> match r with Wal.Kv_write _ -> last_kv := i + 1 | _ -> ())
+              (Scheduler.wal_records t);
+            incr witnessed;
+            if (Wal.stats (Scheduler.wal t)).Wal.durable_records < !last_kv then
+              uncovered := ts :: !uncovered
+        | _ -> ())
+  in
+  let tracer = Obs.Tracer.create ~ring_capacity:0 ~sinks:[ sink ] () in
+  let config = { Scheduler.default_config with seed } in
+  let t =
+    Scheduler.create ~config ~tracer ~spec:(Generator.spec params) ~rms ~wal_path:path ()
+  in
+  sched := Some t;
+  List.iteri
+    (fun i p -> Scheduler.submit t ~at:(float_of_int i) p)
+    (Generator.batch ~seed params ~n:24);
+  Scheduler.request_abort t ~at:4.0 3;
+  Scheduler.run t;
+  let counter name =
+    Option.value ~default:0 (List.assoc_opt name (Tpm_sim.Metrics.counters (Scheduler.metrics t)))
+  in
+  let records = Scheduler.wal_records t in
+  check Alcotest.bool "finished" true (Scheduler.finished t);
+  check Alcotest.bool "page writes were logged" true
+    (List.exists (function Wal.Kv_write _ -> true | _ -> false) records);
+  check Alcotest.bool "2PC rounds ran" true (counter "twopc_commits" > 0);
+  check Alcotest.bool "compensations ran" true (counter "compensations" > 0);
+  check Alcotest.bool "witness events seen" true (!witnessed > 0);
+  check Alcotest.(list (float 0.0)) "durable covers the last page write at every witness" []
+    (List.rev !uncovered);
+  ignore (Scheduler.crash t);
+  List.iter
+    (fun rm ->
+      Option.iter
+        (fun pool -> Tpm_kv.Pager.close (Bufpool.pager pool))
+        (Store.bufpool (Rm.store rm)))
+    rms
+
 let checkpoint_suite =
   [
     Alcotest.test_case "compact drops closed records" `Quick test_compact_drops_closed_records;
@@ -990,6 +1068,8 @@ let checkpoint_suite =
       test_fuzzy_checkpoint_scheduler;
     Alcotest.test_case "group commit: same log, fewer fsyncs" `Quick
       test_group_commit_scheduler;
+    Alcotest.test_case "page writes are durable at every witness" `Quick
+      test_page_writes_durable_at_witness;
   ]
 
 let suite = suite @ checkpoint_suite

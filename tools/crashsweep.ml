@@ -198,7 +198,7 @@ let apply_disk_fault ~path fault =
    checks the forcing rule instead of restating it. *)
 let lazy_record = function
   | Wal.Process_registered _ | Wal.Commit_requested _ | Wal.Abort_requested _
-  | Wal.Ckpt_begin _ | Wal.Coord_forgotten _ -> true
+  | Wal.Ckpt_begin _ | Wal.Coord_forgotten _ | Wal.Kv_write _ -> true
   | _ -> false
 
 let disk_config mode seed sync =
@@ -590,13 +590,23 @@ let replay_twin ~rm_name image =
 let page_sweep ~seed ~stride =
   let failures = ref 0 in
   let bounded_skips = ref 0 in
-  let nflushes =
+  (* the uncrashed run counts the flush crash points, and the syncs the
+     pools' WAL rule forced to make a page flushable *)
+  let nflushes, wal_syncs =
     with_tmp_wal (fun path ->
         let t, rms, flushes, _ = page_run ~seed ~path ~crash_after_flushes:0 in
         if not (Scheduler.finished t) then
           failwith (Printf.sprintf "crashsweep: paged baseline seed=%d did not finish" seed);
+        let wal_syncs =
+          List.fold_left
+            (fun acc rm ->
+              match Store.bufpool (Rm.store rm) with
+              | Some pool -> acc + (Bufpool.stats pool).Bufpool.wal_syncs
+              | None -> acc)
+            0 rms
+        in
         close_paged_rms rms;
-        flushes)
+        (flushes, wal_syncs))
   in
   let points = ref 0 in
   let k = ref 1 in
@@ -612,8 +622,14 @@ let page_sweep ~seed ~stride =
         let dir = Filename.dirname path in
         let t, rms, _, durable = page_run ~seed ~path ~crash_after_flushes:kk in
         check "crash trigger did not fire" (Scheduler.is_crashed t);
-        let image = Scheduler.wal_records t in
-        check "image longer than the durable marker" (List.length image <= durable);
+        (* the crash image is what the disk holds, not what was appended:
+           lazy records past the last fsync are gone *)
+        let appended = Scheduler.wal_records t in
+        let image = (Wal.load path).Wal.records in
+        let n = List.length image in
+        check "image longer than the durable marker" (n <= durable);
+        check "image is not a prefix of the appended log"
+          (n <= List.length appended && List.filteri (fun i _ -> i < n) appended = image);
         let recovered_stores =
           List.map
             (fun rm ->
@@ -716,9 +732,9 @@ let page_sweep ~seed ~stride =
     Format.printf "seed=%d page axis: checkpoint bound never skipped any redo work@." seed
   end;
   Format.printf
-    "crashsweep: seed=%d page axis: %d of %d flush crash points, %d records skipped by the \
-     checkpoint bound, %d failures@."
-    seed !points nflushes !bounded_skips !failures;
+    "crashsweep: seed=%d page axis: %d of %d flush crash points, %d WAL-rule syncs per run, %d \
+     records skipped by the checkpoint bound, %d failures@."
+    seed !points nflushes wal_syncs !bounded_skips !failures;
   !failures
 
 (* ------------------------------------------------------------------ *)
