@@ -9,7 +9,9 @@
     acts as a pivot (it terminates in a well-defined way but cannot be
     undone once its state-determining activity committed).  {!classify}
     derives that guarantee and {!inline} substitutes a subprocess for a
-    placeholder activity of the parent, preserving well-formedness. *)
+    placeholder activity of the parent, preserving well-formedness.
+    A subprocess can also stay inside its process as a declared
+    {!group} that the scheduler admits as one unit. *)
 
 val classify : Process.t -> (Activity.kind, Flex.issue list) result
 (** The termination guarantee of the process as a unit:
@@ -40,3 +42,33 @@ val inline : parent:Process.t -> at:int -> child:Process.t -> (Process.t, error)
     [classify child]. *)
 
 val pp_error : Format.formatter -> error -> unit
+
+(** {2 Subprocess groups}
+
+    Multi-level composition (Section 3.6; Börger et al.'s multi-level
+    transaction control): a prec-convex sub-DAG of a process's activities
+    declared a {e subprocess}.  The parent scheduler admits the whole
+    group as one unit against the union of its members' conflict
+    footprints; the inner engine (the process's own precedence order)
+    schedules the children without further parent-level admission.
+    Because the group claims its whole footprint at once, a conflicting
+    outside activity is ordered entirely before or entirely after it. *)
+
+type group = {
+  gname : string;
+  members : int list;  (** activity ids of the owning process *)
+}
+
+val validate : Process.t -> group list -> (unit, string) result
+(** Members exist and are pairwise disjoint across groups; no outside
+    activity lies on a [≪]-path between two members (prec-convexity); no
+    outside choice point branches into the group. *)
+
+val validate_exn : Process.t -> group list -> unit
+(** @raise Invalid_argument on a violation. *)
+
+val services : Process.t -> group -> string list
+(** The union admission footprint: the members' services, deduplicated. *)
+
+val group_of : group list -> int -> group option
+(** The group containing the activity, if any. *)

@@ -13,7 +13,6 @@ module Coordinator = Tpm_twopc.Coordinator
 module Obs = Tpm_obs.Obs
 module Choice = Tpm_sim.Choice
 module Enforce = Tpm_composite.Enforce
-module Compose = Tpm_composite.Compose
 
 type mode =
   | Conservative
@@ -2944,15 +2943,7 @@ let recover ?(config = default_config) ?(amnesia = false) ?tracer ?(groups = [])
      own decided record so analysis treats it like a delivered decision. *)
   let records, termination_commits =
     if not amnesia then (records, [])
-    else begin
-      let stripped =
-        List.filter
-          (function
-            | Wal.Coord_begin _ | Wal.Coord_committed _ | Wal.Coord_forgotten _ ->
-                false
-            | _ -> true)
-          records
-      in
+    else
       let commits =
         List.concat_map
           (fun rm ->
@@ -2965,12 +2956,13 @@ let recover ?(config = default_config) ?(amnesia = false) ?tracer ?(groups = [])
           rms
         |> List.sort_uniq compare
       in
-      ( stripped
-        @ List.map
-            (fun (pid, act) -> Wal.Prepared_decided { pid; act; commit = true })
-            commits,
+      ( List.filter
+          (function
+            | Wal.Coord_begin _ | Wal.Coord_committed _ | Wal.Coord_forgotten _ -> false
+            | _ -> true)
+          records
+        @ List.map (fun (pid, act) -> Wal.Prepared_decided { pid; act; commit = true }) commits,
         commits )
-    end
   in
   let on_step step =
     if Obs.Tracer.active obs then Obs.Tracer.emit obs (Obs.Recovery_step step)
@@ -2981,20 +2973,25 @@ let recover ?(config = default_config) ?(amnesia = false) ?tracer ?(groups = [])
   | Ok plan ->
       let t = create ~config ~tracer:obs ~spec ~rms () in
       let find_proc pid = List.find_opt (fun pr -> Process.pid pr = pid) procs in
-      (* apply the cooperatively recovered commit decisions to the tokens
-         still prepared at the resource managers *)
+      (* decide a token still prepared at its resource manager *)
+      let settle proc act ~commit =
+        let rm = rm_of t (Process.find proc act) in
+        let token = activity_token ~pid:(Process.pid proc) ~act in
+        if Rm.is_prepared rm ~token then
+          if commit then begin
+            Rm.commit_prepared rm ~token;
+            Metrics.incr t.metrics "indoubt_resolved";
+            Metrics.incr t.metrics "twopc_commits"
+          end
+          else begin
+            Rm.abort_prepared rm ~token;
+            Metrics.incr t.metrics "twopc_aborts"
+          end
+      in
+      (* the cooperatively recovered commit decisions: already in the
+         analyzed log as the participant's decided records *)
       List.iter
-        (fun (pid, act) ->
-          match find_proc pid with
-          | None -> ()
-          | Some proc ->
-              let rm = rm_of t (Process.find proc act) in
-              let token = activity_token ~pid ~act in
-              if Rm.is_prepared rm ~token then begin
-                Rm.commit_prepared rm ~token;
-                Metrics.incr t.metrics "indoubt_resolved";
-                Metrics.incr t.metrics "twopc_commits"
-              end)
+        (fun (pid, act) -> Option.iter (fun proc -> settle proc act ~commit:true) (find_proc pid))
         termination_commits;
       (* Resolve in-doubt prepared invocations.  Durably committed ones
          (the coordinator logged [Coord_committed] but the DECISION message
@@ -3002,26 +2999,13 @@ let recover ?(config = default_config) ?(amnesia = false) ?tracer ?(groups = [])
          subsystems, never aborted.  All others are presumed aborted. *)
       List.iter
         (fun (p : Recovery.process_plan) ->
-          let pid = p.Recovery.pid in
-          let proc = List.find (fun pr -> Process.pid pr = pid) procs in
-          let resolve act ~commit =
-            let rm = rm_of t (Process.find proc act) in
-            let token = activity_token ~pid ~act in
-            (if Rm.is_prepared rm ~token then
-               if commit then begin
-                 Rm.commit_prepared rm ~token;
-                 Metrics.incr t.metrics "indoubt_resolved";
-                 Metrics.incr t.metrics "twopc_commits"
-               end
-               else begin
-                 Rm.abort_prepared rm ~token;
-                 Metrics.incr t.metrics "twopc_aborts"
-               end);
-            log t (Wal.Prepared_decided { pid; act; commit })
+          let resolve ~commit act =
+            settle (Execution.proc p.exec) act ~commit;
+            log t (Wal.Prepared_decided { pid = p.pid; act; commit })
           in
-          List.iter (fun act -> resolve act ~commit:true) p.Recovery.in_doubt_commit;
-          List.iter (fun act -> resolve act ~commit:false) p.Recovery.in_doubt)
-        plan.Recovery.interrupted;
+          List.iter (resolve ~commit:true) p.in_doubt_commit;
+          List.iter (resolve ~commit:false) p.in_doubt)
+        plan.interrupted;
       (* the pre-crash coordination state is now fully resolved: clear the
          in-doubt tags and remembered decisions so the fresh coordinator's
          instance ids cannot be confused with pre-crash ones *)
@@ -3029,114 +3013,53 @@ let recover ?(config = default_config) ?(amnesia = false) ?tracer ?(groups = [])
       (* processes that already terminated keep their outcome *)
       List.iter
         (fun (pid, term) ->
-          match List.find_opt (fun pr -> Process.pid pr = pid) procs with
-          | None -> ()
-          | Some proc ->
+          Option.iter
+            (fun proc ->
               let ps = register t ~groups:(groups_of pid) proc in
               ps.phase <- Done;
               ps.term <- term)
-        (List.map (fun pid -> (pid, Schedule.Committed)) plan.Recovery.committed
-        @ List.map (fun pid -> (pid, Schedule.Aborted)) plan.Recovery.aborted);
+            (find_proc pid))
+        (List.map (fun pid -> (pid, Schedule.Committed)) plan.committed
+        @ List.map (fun pid -> (pid, Schedule.Aborted)) plan.aborted);
       (* rebuild interrupted processes and queue their completions *)
       let entries =
         List.map
           (fun (p : Recovery.process_plan) ->
-            let proc = List.find (fun pr -> Process.pid pr = p.Recovery.pid) procs in
-            let ps = register t ~groups:(groups_of p.Recovery.pid) proc in
-            let exec =
-              List.fold_left
-                (fun st inst ->
-                  match Execution.replay_instance st inst with
-                  | Ok st -> st
-                  | Error e ->
-                      failwith (Printf.sprintf "Scheduler.recover: replay: %s" e))
-                (Execution.start proc) p.Recovery.executed
-            in
+            let ps = register t ~groups:(groups_of p.pid) (Execution.proc p.exec) in
             bump t;
-            ps.exec <- exec;
+            ps.exec <- p.exec;
             ps.aborting <- true;
             ps.phase <- Recovering;
-            log t (Wal.Abort_requested p.Recovery.pid);
-            (p.Recovery.pid, p.Recovery.completion))
-          plan.Recovery.interrupted
+            log t (Wal.Abort_requested p.pid);
+            (p.pid, Execution.completion p.exec))
+          plan.interrupted
       in
       (* replay the pre-crash events into the new history in their global
          (WAL) order, so that the recovered history is self-contained and
          the completion ordering below sees every pre-crash conflict.
          The re-appends also make the new log self-contained. *)
-      let aborted_in_doubt pid act =
-        List.exists
-          (fun (p : Recovery.process_plan) ->
-            p.Recovery.pid = pid && List.mem act p.Recovery.in_doubt)
-          plan.Recovery.interrupted
-      in
-      let in_doubt_commit pid act =
-        List.exists
-          (fun (p : Recovery.process_plan) ->
-            p.Recovery.pid = pid && List.mem act p.Recovery.in_doubt_commit)
-          plan.Recovery.interrupted
-      in
-      (* [Coord_begin] names the activity each instance decides, so the
-         re-delivered commit of an in-doubt token can be emitted at the
-         position where its decision became durable *)
-      let coord_acts : (int, int * int) Hashtbl.t = Hashtbl.create 8 in
       List.iter
-        (fun record ->
-          let emit_act pid act inverse =
-            match find_proc pid with
-            | None -> ()
-            | Some proc ->
-                let a = Process.find proc act in
-                emit t
-                  (Schedule.Act (if inverse then Activity.Inverse a else Activity.Forward a));
-                log t
-                  (if inverse then Wal.Compensated { pid; act } else Wal.Invoked { pid; act })
-          in
-          match record with
-          | Wal.Invoked { pid; act } -> emit_act pid act false
-          | Wal.Compensated { pid; act } -> emit_act pid act true
-          | Wal.Prepared_decided { pid; act; commit = true } -> emit_act pid act false
-          | Wal.Prepared { pid; act } ->
-              (* in-doubt prepared resolved to commit appear via their later
-                 progress; trailing ones were aborted above; durably
-                 committed ones are emitted at their [Coord_committed]
-                 position (the commit happened there, after the
-                 predecessors' process commits, never at prepare time) *)
-              if
-                (not (aborted_in_doubt pid act))
-                && (not (in_doubt_commit pid act))
-                && not
-                     (List.exists
-                        (function
-                          | Wal.Prepared_decided { pid = p'; act = a'; _ } ->
-                              p' = pid && a' = act
-                          | _ -> false)
-                        records)
-              then emit_act pid act false
-          | Wal.Coord_begin { cid; pid; act; _ } ->
-              Hashtbl.replace coord_acts cid (pid, act)
-          | Wal.Coord_committed { cid; _ } -> (
-              match Hashtbl.find_opt coord_acts cid with
-              | Some (pid, act) when in_doubt_commit pid act -> emit_act pid act false
-              | Some _ | None -> ())
-          | Wal.Process_committed pid ->
-              emit t (Schedule.Commit pid);
-              log t (Wal.Process_committed pid)
-          | Wal.Process_aborted pid ->
-              emit t (Schedule.Abort pid);
-              log t (Wal.Process_aborted pid)
-          | Wal.Prepared_decided _ | Wal.Process_registered _ | Wal.Commit_requested _
-          | Wal.Abort_requested _ | Wal.Checkpoint _ | Wal.Ckpt_begin _ | Wal.Ckpt_end _
-          | Wal.Coord_forgotten _ | Wal.Kv_write _ | Wal.Dirty_pages _ -> ())
-        records;
+        (fun ev ->
+          emit t ev;
+          log t
+            (match ev with
+            | Schedule.Act inst -> (
+                let { Activity.proc = pid; act } = (Activity.instance_base inst).Activity.id in
+                match inst with
+                | Activity.Forward _ -> Wal.Invoked { pid; act }
+                | Activity.Inverse _ -> Wal.Compensated { pid; act })
+            | Schedule.Commit pid -> Wal.Process_committed pid
+            | Schedule.Abort pid -> Wal.Process_aborted pid
+            | Schedule.Group_abort _ -> invalid_arg "Scheduler.recover: group abort in replay"))
+        plan.replay;
       (* the replay completed the terminal processes' closures: they
          retire now *)
       List.iter
         (fun pid -> if Hashtbl.mem t.procs pid then Deps.mark_committed t.deps pid)
-        plan.Recovery.committed;
+        plan.committed;
       List.iter
         (fun pid -> if Hashtbl.mem t.procs pid then Deps.mark_aborted t.deps pid)
-        plan.Recovery.aborted;
+        plan.aborted;
       if entries <> [] then begin
         emit t (Schedule.Group_abort (List.map fst entries));
         let ordered = Completed.completion_order (history t) entries in

@@ -193,7 +193,7 @@ val submit :
   t ->
   ?at:float ->
   ?args_of:(Tpm_core.Activity.t -> Tpm_kv.Value.t) ->
-  ?groups:Tpm_composite.Compose.group list ->
+  ?groups:Tpm_core.Compose.group list ->
   Tpm_core.Process.t ->
   unit
 (** Registers a process for execution at virtual time [at] (default: now).
@@ -207,7 +207,7 @@ val submit :
     by the process's own precedence order (the inner engine).
     @raise Invalid_argument on duplicate pids, activities whose
     subsystem is unknown, or an ill-formed grouping
-    ({!Tpm_composite.Compose.validate}). *)
+    ({!Tpm_core.Compose.validate}). *)
 
 val request_abort : t -> ?at:float -> int -> unit
 (** External abort [A_i]: the process terminates through its completion. *)
@@ -354,19 +354,22 @@ val recover :
   ?config:config ->
   ?amnesia:bool ->
   ?tracer:Tpm_obs.Obs.Tracer.t ->
-  ?groups:(int * Tpm_composite.Compose.group list) list ->
+  ?groups:(int * Tpm_core.Compose.group list) list ->
   spec:Tpm_core.Conflict.t ->
   rms:Tpm_subsys.Rm.t list ->
   procs:Tpm_core.Process.t list ->
   Tpm_wal.Wal.record list ->
   (t, string) result
-(** Builds a new scheduler from the log: decides in-doubt prepared
-    invocations at the subsystems (presumed abort — except tokens whose
-    coordinator durably logged [Coord_committed], whose lost DECISION is
-    re-delivered as a commit), replays the pre-crash events into the new
-    history (which is therefore self-contained), and schedules the
-    completion of every interrupted process (the group abort of
-    Definition 8).  Run it with {!run} to finish recovery.
+(** Builds a new scheduler from the log by applying the plan of
+    {!Tpm_wal.Recovery.analyze}, the only reader of the log's process
+    records: decides the plan's in-doubt prepared invocations at the
+    subsystems (presumed abort — except tokens whose coordinator durably
+    logged [Coord_committed], whose lost DECISION is re-delivered as a
+    commit), installs each interrupted process's execution state,
+    re-appends the plan's replay to the new history and log (which are
+    therefore self-contained), and schedules the completion of every
+    interrupted process (the group abort of Definition 8).  Run it with
+    {!run} to finish recovery.
 
     [amnesia] declares the coordinator's log records lost: recovery then
     ignores them and resolves in-doubt tokens by cooperative termination —

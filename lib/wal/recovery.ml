@@ -2,17 +2,16 @@ open Tpm_core
 
 type process_plan = {
   pid : int;
-  state : Execution.recovery_state;
-  executed : Activity.instance list;
   in_doubt : int list;
   in_doubt_commit : int list;
-  completion : Activity.instance list;
+  exec : Execution.t;
 }
 
 type t = {
   committed : int list;
   aborted : int list;
   interrupted : process_plan list;
+  replay : Schedule.event list;
 }
 
 (* chronological per-process effect timeline *)
@@ -21,10 +20,20 @@ type effect =
   | Inv of int
   | Pending of int  (* prepared, decision unknown so far *)
 
+(* one pre-crash event of the replay, in WAL order.  Whether a prepare or
+   a durable commit decision surfaces is only known once the whole log
+   has been read. *)
+type step =
+  | Event of Schedule.event
+  | Prepare of int * int * Schedule.event  (* kept iff never decided nor in doubt *)
+  | Decision of int * int * Schedule.event  (* [Coord_committed]: kept iff re-delivered *)
+
 let analyze ?(on_step = fun _ -> ()) ~procs records =
   on_step (Printf.sprintf "analyze: %d log records, %d process definitions"
        (List.length records) (List.length procs));
-  let find_proc pid = List.find_opt (fun p -> Process.pid p = pid) procs in
+  let proc_table = Hashtbl.create 16 in
+  List.iter (fun p -> Hashtbl.replace proc_table (Process.pid p) p) (List.rev procs);
+  let find_proc = Hashtbl.find_opt proc_table in
   let timelines : (int, effect list ref) Hashtbl.t = Hashtbl.create 16 in
   let terminal : (int, [ `Committed | `Aborted ]) Hashtbl.t = Hashtbl.create 16 in
   let registered = ref [] in
@@ -32,16 +41,20 @@ let analyze ?(on_step = fun _ -> ()) ~procs records =
      whose commit decision is durable *)
   let coord_acts : (int, int * int) Hashtbl.t = Hashtbl.create 16 in
   let coord_committed : (int, unit) Hashtbl.t = Hashtbl.create 16 in
-  let durably_committed pid act =
-    Hashtbl.fold
-      (fun cid () acc ->
-        acc
-        ||
-        match Hashtbl.find_opt coord_acts cid with
-        | Some (p, a) -> p = pid && a = act
-        | None -> false)
-      coord_committed false
+  (* every (pid, act) with a logged participant decision *)
+  let decided : (int * int, unit) Hashtbl.t = Hashtbl.create 16 in
+  let steps = ref [] in
+  (* pushes the occurrence as the step [k] builds; none for a process
+     absent from [procs] *)
+  let occurrence pid act inverse k =
+    Option.iter
+      (fun proc ->
+        let a = Process.find proc act in
+        let inst = if inverse then Activity.Inverse a else Activity.Forward a in
+        steps := k (Schedule.Act inst) :: !steps)
+      (find_proc pid)
   in
+  let event ev = Event ev in
   let timeline pid =
     match Hashtbl.find_opt timelines pid with
     | Some r -> r
@@ -50,36 +63,71 @@ let analyze ?(on_step = fun _ -> ()) ~procs records =
         Hashtbl.replace timelines pid r;
         r
   in
+  let add pid e = timeline pid := e :: !(timeline pid) in
+  (* resolves the pending prepares of [act]; false when there are none *)
   let decide pid act commit =
     let r = timeline pid in
+    let found = ref false in
     r :=
       List.filter_map
         (function
-          | Pending a when a = act -> if commit then Some (Fwd a) else None
+          | Pending a when a = act ->
+              found := true;
+              if commit then Some (Fwd a) else None
           | e -> Some e)
-        !r
+        !r;
+    !found
   in
   List.iter
     (fun record ->
       match record with
       | Wal.Process_registered pid -> registered := pid :: !registered
-      | Wal.Invoked { pid; act } -> timeline pid := Fwd act :: !(timeline pid)
-      | Wal.Prepared { pid; act } -> timeline pid := Pending act :: !(timeline pid)
-      | Wal.Prepared_decided { pid; act; commit } -> decide pid act commit
-      | Wal.Compensated { pid; act } -> timeline pid := Inv act :: !(timeline pid)
-      | Wal.Process_committed pid -> Hashtbl.replace terminal pid `Committed
-      | Wal.Process_aborted pid -> Hashtbl.replace terminal pid `Aborted
+      | Wal.Invoked { pid; act } ->
+          add pid (Fwd act);
+          occurrence pid act false event
+      | Wal.Prepared { pid; act } ->
+          add pid (Pending act);
+          occurrence pid act false (fun ev -> Prepare (pid, act, ev))
+      | Wal.Prepared_decided { pid; act; commit } ->
+          (* a committed decision is the occurrence of the prepare it
+             decides.  One with no logged prepare is a resolution that
+             recovery wrote ahead of its replay, whose [Invoked] is the
+             occurrence. *)
+          if decide pid act commit && commit then occurrence pid act false event;
+          Hashtbl.replace decided (pid, act) ()
+      | Wal.Compensated { pid; act } ->
+          add pid (Inv act);
+          occurrence pid act true event
+      | Wal.Process_committed pid ->
+          Hashtbl.replace terminal pid `Committed;
+          steps := Event (Schedule.Commit pid) :: !steps
+      | Wal.Process_aborted pid ->
+          Hashtbl.replace terminal pid `Aborted;
+          steps := Event (Schedule.Abort pid) :: !steps
       | Wal.Checkpoint { committed; aborted } | Wal.Ckpt_end { committed; aborted; _ } ->
           List.iter (fun pid -> Hashtbl.replace terminal pid `Committed) committed;
           List.iter (fun pid -> Hashtbl.replace terminal pid `Aborted) aborted
       | Wal.Coord_begin { cid; pid; act; _ } -> Hashtbl.replace coord_acts cid (pid, act)
-      | Wal.Coord_committed { cid; _ } -> Hashtbl.replace coord_committed cid ()
+      | Wal.Coord_committed { cid; _ } ->
+          Hashtbl.replace coord_committed cid ();
+          Option.iter
+            (fun (pid, act) -> occurrence pid act false (fun ev -> Decision (pid, act, ev)))
+            (Hashtbl.find_opt coord_acts cid)
       | Wal.Ckpt_begin _ | Wal.Coord_forgotten _ | Wal.Commit_requested _
       | Wal.Abort_requested _
       (* page-store records carry no process state: the process-level plan
          on a log with and without them is identical by construction *)
       | Wal.Kv_write _ | Wal.Dirty_pages _ -> ())
     records;
+  (* the (pid, act) pairs whose coordinator durably logged the commit *)
+  let durable : (int * int, unit) Hashtbl.t = Hashtbl.create 16 in
+  Hashtbl.iter
+    (fun cid () ->
+      Option.iter (fun pa -> Hashtbl.replace durable pa ()) (Hashtbl.find_opt coord_acts cid))
+    coord_committed;
+  (* in-doubt (pid, act) -> re-delivered as a commit (true) or presumed
+     aborted (false) *)
+  let doubt : (int * int, bool) Hashtbl.t = Hashtbl.create 16 in
   let committed = ref [] and aborted = ref [] and interrupted = ref [] in
   let error = ref None in
   List.iter
@@ -109,20 +157,15 @@ let analyze ?(on_step = fun _ -> ()) ~procs records =
                   (fun e ->
                     match e with
                     | Pending act ->
-                        if durably_committed pid act then begin
-                          on_step
-                            (Printf.sprintf
-                               "P_%d a%d in doubt: durable Coord_committed, re-deliver commit"
-                               pid act);
-                          in_doubt_commit := act :: !in_doubt_commit;
-                          true
-                        end
-                        else begin
-                          on_step
-                            (Printf.sprintf "P_%d a%d in doubt: presume abort" pid act);
-                          in_doubt := act :: !in_doubt;
-                          false
-                        end
+                        let commit = Hashtbl.mem durable (pid, act) in
+                        Hashtbl.replace doubt (pid, act) commit;
+                        on_step
+                          (Printf.sprintf "P_%d a%d in doubt: %s" pid act
+                             (if commit then "durable Coord_committed, re-deliver commit"
+                              else "presume abort"));
+                        if commit then in_doubt_commit := act :: !in_doubt_commit
+                        else in_doubt := act :: !in_doubt;
+                        commit
                     | Fwd _ | Inv _ -> true)
                   effects
               in
@@ -155,11 +198,9 @@ let analyze ?(on_step = fun _ -> ()) ~procs records =
                   interrupted :=
                     {
                       pid;
-                      state = Execution.recovery_state st;
-                      executed = Execution.effective_trace st;
                       in_doubt = List.rev !in_doubt;
                       in_doubt_commit = List.rev !in_doubt_commit;
-                      completion = Execution.completion st;
+                      exec = st;
                     }
                     :: !interrupted)))
     (List.sort_uniq compare
@@ -171,11 +212,27 @@ let analyze ?(on_step = fun _ -> ()) ~procs records =
         (Printf.sprintf "analyze done: %d committed, %d aborted, %d interrupted"
            (List.length !committed) (List.length !aborted)
            (List.length !interrupted));
+      (* a prepare never decided surfaces where it was logged (its process
+         terminated); an in-doubt one re-delivered as a commit surfaces at
+         its [Coord_committed], where the commit happened — after the
+         predecessors' process commits, never at prepare time *)
+      let replay =
+        List.filter_map
+          (function
+            | Event ev -> Some ev
+            | Prepare (pid, act, ev) ->
+                if Hashtbl.mem doubt (pid, act) || Hashtbl.mem decided (pid, act) then None
+                else Some ev
+            | Decision (pid, act, ev) ->
+                if Hashtbl.find_opt doubt (pid, act) = Some true then Some ev else None)
+          (List.rev !steps)
+      in
       Ok
         {
           committed = List.rev !committed;
           aborted = List.rev !aborted;
           interrupted = List.rev !interrupted;
+          replay;
         }
 
 type kv_redo_plan = {
@@ -219,10 +276,12 @@ let pp fmt t =
   List.iter
     (fun plan ->
       Format.fprintf fmt "P_%d (%s): completion = [%a]@ " plan.pid
-        (match plan.state with Execution.B_rec -> "B-REC" | Execution.F_rec -> "F-REC")
+        (match Execution.recovery_state plan.exec with
+        | Execution.B_rec -> "B-REC"
+        | Execution.F_rec -> "F-REC")
         (Format.pp_print_list
            ~pp_sep:(fun fmt () -> Format.fprintf fmt " ")
            Activity.pp_instance)
-        plan.completion)
+        (Execution.completion plan.exec))
     t.interrupted;
   Format.fprintf fmt "@]"

@@ -12,8 +12,6 @@
 
 type process_plan = {
   pid : int;
-  state : Tpm_core.Execution.recovery_state;
-  executed : Tpm_core.Activity.instance list;  (** effects present at crash time *)
   in_doubt : int list;
       (** prepared activity ids with no logged 2PC decision that recovery
           resolves to {e abort} (their subsystem transactions are rolled
@@ -26,14 +24,24 @@ type process_plan = {
       (** prepared activity ids whose coordinator durably logged
           [Coord_committed] before the crash: the decision message must be
           re-delivered — recovery commits them at their subsystems, never
-          aborts them.  They also appear in [executed]. *)
-  completion : Tpm_core.Activity.instance list;  (** what recovery must execute *)
+          aborts them.  Their effects survive in [exec]. *)
+  exec : Tpm_core.Execution.t;
+      (** the process's state at the crash, which the scheduler installs:
+          its effective trace is the surviving effects, and its recovery
+          state and completion are what recovery must execute *)
 }
 
 type t = {
   committed : int list;  (** processes already terminated (committed) *)
   aborted : int list;  (** processes already fully rolled back *)
   interrupted : process_plan list;  (** processes needing completion *)
+  replay : Tpm_core.Schedule.event list;
+      (** the surviving pre-crash schedule in WAL order, for the scheduler
+          to re-append to its new history and log: occurrences, process
+          commits and aborts.  An in-doubt prepare re-delivered as a
+          commit sits at its [Coord_committed]; a presumed-aborted one is
+          dropped.  Occurrences of processes absent from [procs] are
+          skipped. *)
 }
 
 val analyze :
@@ -42,11 +50,12 @@ val analyze :
   Wal.record list ->
   (t, string) result
 (** Rebuilds every process state by replaying the logged instances through
-    the execution engine.  Fails if the log is inconsistent with the
-    process definitions.  [on_step] (default: ignore) receives a
-    human-readable line per analysis step — in-doubt resolutions and
-    per-process plans — which the scheduler forwards to its tracer as
-    [Recovery_step] events. *)
+    the execution engine, and places the surviving pre-crash events
+    ([replay]), in one pass over the log.  Fails if the log is
+    inconsistent with the process definitions.  [on_step] (default:
+    ignore) receives a human-readable line per analysis step — in-doubt
+    resolutions and per-process plans — which the scheduler forwards to
+    its tracer as [Recovery_step] events. *)
 
 val pp : Format.formatter -> t -> unit
 

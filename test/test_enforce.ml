@@ -7,7 +7,6 @@
 open Tpm_core
 module Scheduler = Tpm_scheduler.Scheduler
 module Generator = Tpm_workload.Generator
-module Compose = Tpm_composite.Compose
 module Local = Tpm_composite.Local
 module Metrics = Tpm_sim.Metrics
 

@@ -51,6 +51,11 @@ esac
 # tolerated as a torn tail or detected as corruption -- zero silent
 # misreads, zero oracle violations
 dune exec tools/crashsweep.exe -- --disk-only
+# amnesia sweep: crash after EVERY 2PC message delivery for every seed x
+# mode and recover without the coordinator's records (cooperative
+# termination); the full oracle suite minus presumed-abort soundness
+# against the crash image, which amnesia legitimately gives up
+dune exec tools/crashsweep.exe -- --amnesia-only
 # stress with the WAL on real disk under each sync policy; after each run
 # the on-disk log must load clean and match the in-memory record stream
 dune exec tools/stress.exe -- --seeds 41-45 --fail-rates 0.1 --sync-policy group:0.2

@@ -5,8 +5,10 @@
    on every crash position that the crash fired exactly where scripted
    and that the recovered run passes {!Tpm_oracle.Oracle.run} — with
    presumed-abort soundness against the crash image and store
-   explainability.  The disk, server, page and composite axes below
-   crash at other points and judge the same way, except where noted.
+   explainability.  Every append crash point also checks that recovery
+   replays its own log.  The amnesia, disk, server, page and composite
+   axes below crash at other points and judge the same way, except where
+   noted.
 
    Runs as part of `dune runtest` (see tools/dune); knobs are compiled in
    and kept small so the sweep stays fast. *)
@@ -18,7 +20,7 @@ module Rm = Tpm_subsys.Rm
 module Store = Tpm_kv.Store
 module Wal = Tpm_wal.Wal
 module Obs = Tpm_obs.Obs
-module Compose = Tpm_composite.Compose
+module Recovery = Tpm_wal.Recovery
 module Oracle = Tpm_oracle.Oracle
 
 (* every sweep run carries a small ring tracer so a failing crash point
@@ -73,17 +75,58 @@ let baseline ?abort ~seed ~mode () =
     failwith (Printf.sprintf "crashsweep: baseline seed=%d did not finish" seed);
   (List.length (Scheduler.wal_records t), Scheduler.msg_deliveries t)
 
+(* one run of the sweep's workload under [faults] (a crash trigger) *)
+let faulted_run ~config ~spec ~procs ~seed faults =
+  let rms = fresh_rms seed in
+  let t = Scheduler.create ~config ~faults ~tracer:(mk_tracer ()) ~spec ~rms () in
+  submit_all t procs;
+  Scheduler.run ~until:horizon t;
+  (t, rms)
+
+(* Recovery replays its own log: analyzing the log a recovery has just
+   written must find the same interrupted processes with the same
+   completions as the crashed log, and recovering it must rebuild the
+   same history.  The second recovery gets fresh subsystems, so it cannot
+   disturb the first one's; the log alone decides the rebuilt history. *)
+let check_rerecovery ~complain ~config ~spec ~procs ~seed records t2 =
+  let again = Scheduler.wal_records t2 in
+  let summary plan =
+    List.map
+      (fun (p : Recovery.process_plan) -> (p.pid, Execution.completion p.exec))
+      plan.Recovery.interrupted
+  in
+  (match (Recovery.analyze ~procs records, Recovery.analyze ~procs again) with
+  | Ok p1, Ok p2 ->
+      if summary p1 <> summary p2 then
+        complain "re-analysis of the recovered log changed the interrupted set or completions"
+  | _, Error e -> complain ("re-analysis of the recovered log failed: " ^ e)
+  | Error e, Ok _ -> complain ("analysis of the crashed log failed: " ^ e));
+  match Scheduler.recover ~config ~spec ~rms:(fresh_rms seed) ~procs again with
+  | Error e -> complain ("re-recovery failed: " ^ e)
+  | Ok t3 ->
+      if Schedule.events (Scheduler.history t3) <> Schedule.events (Scheduler.history t2) then
+        complain "re-recovery rebuilt a different history"
+
 (* recover from [records] with the same subsystems (they survive the
    crash), finish, and judge the recovered run with the full oracle
    suite: presumed-abort soundness against [records], and stores
    explained by replaying the recovered history into fresh subsystems
-   (the sweep's processes carry no invocation arguments) *)
-let recover_and_check ?(groups = []) ~complain ~config ~spec ~rms ~procs ~seed records =
-  match Scheduler.recover ~config ~tracer:(mk_tracer ()) ~groups ~spec ~rms ~procs records with
+   (the sweep's processes carry no invocation arguments).  Under
+   [amnesia] presumed-abort soundness is not judged: a durable decision
+   no participant saw is legitimately presumed aborted once the
+   coordinator's records are lost.  [rerecover] also checks that
+   recovery replays its own log. *)
+let recover_and_check ?(groups = []) ?(amnesia = false) ?(rerecover = false) ~complain ~config
+    ~spec ~rms ~procs ~seed records =
+  match
+    Scheduler.recover ~config ~amnesia ~tracer:(mk_tracer ()) ~groups ~spec ~rms ~procs records
+  with
   | Error e -> complain ("recovery failed: " ^ e)
   | Ok t2 ->
+      if rerecover then check_rerecovery ~complain ~config ~spec ~procs ~seed records t2;
       Scheduler.run ~until:horizon t2;
-      let violations = Oracle.run ~fresh:(replay_rms seed) ~before:records t2 in
+      let before = if amnesia then None else Some records in
+      let violations = Oracle.run ~fresh:(replay_rms seed) ?before t2 in
       List.iter complain violations;
       if violations <> [] then Scheduler.forensics Format.std_formatter t2
 
@@ -112,12 +155,7 @@ let sweep ~seed ~mode_name ~mode =
           incr failures;
           Format.printf "seed=%d mode=%s %s@%d: %s@." seed mode_name label k name
         in
-        let rms = fresh_rms seed in
-        let t =
-          Scheduler.create ~config ~faults:(faults k) ~tracer:(mk_tracer ()) ~spec ~rms ()
-        in
-        submit_all t procs;
-        Scheduler.run ~until:horizon t;
+        let t, rms = faulted_run ~config ~spec ~procs ~seed (faults k) in
         let records = Scheduler.wal_records t in
         let pre =
           if not (Scheduler.is_crashed t) then
@@ -129,12 +167,46 @@ let sweep ~seed ~mode_name ~mode =
         List.iter complain pre;
         if pre <> [] then Scheduler.forensics Format.std_formatter t
         else if Scheduler.is_crashed t then
-          recover_and_check ~complain ~config ~spec ~rms ~procs ~seed records
+          recover_and_check ~rerecover:exact ~complain ~config ~spec ~rms ~procs ~seed records
       done)
     triggers;
   Format.printf
     "crashsweep: seed=%d mode=%s %d append + %d delivery crash points, %d failures@."
     seed mode_name appends deliveries !failures;
+  !failures
+
+(* Amnesia axis: crash after the k-th 2PC message delivery and recover
+   with the coordinator's records declared lost (cooperative
+   termination).  Judged by the full oracle suite except presumed-abort
+   soundness against the crash image (see [recover_and_check]). *)
+let amnesia_sweep ~seed ~mode_name ~mode ~stride =
+  let _, deliveries = baseline ~seed ~mode () in
+  let spec = Generator.spec params in
+  let procs = procs_of seed in
+  let config = { Scheduler.default_config with mode; seed } in
+  let failures = ref 0 and points = ref 0 in
+  let k = ref 1 in
+  while !k <= deliveries do
+    let kk = !k in
+    let complain name =
+      incr failures;
+      Format.printf "seed=%d mode=%s amnesia@%d: %s@." seed mode_name kk name
+    in
+    let t, rms =
+      faulted_run ~config ~spec ~procs ~seed (Faults.make ~crash_after_deliveries:kk ())
+    in
+    (* a position past the routed delivery count never fires; the
+       delivery axis already judges that uncrashed run *)
+    if Scheduler.is_crashed t then begin
+      incr points;
+      recover_and_check ~amnesia:true ~complain ~config ~spec ~rms ~procs ~seed
+        (Scheduler.wal_records t)
+    end;
+    k := !k + stride
+  done;
+  Format.printf
+    "crashsweep: seed=%d mode=%s amnesia axis: %d crashed of %d delivery points, %d failures@."
+    seed mode_name !points deliveries !failures;
   !failures
 
 (* ------------------------------------------------------------------ *)
@@ -495,7 +567,6 @@ let serve_sweep ~seed ~policy_name ~policy ~stride =
 
 module Bufpool = Tpm_kv.Bufpool
 module Pager = Tpm_kv.Pager
-module Recovery = Tpm_wal.Recovery
 
 let page_path dir rm_name = Filename.concat dir (rm_name ^ ".pages")
 
@@ -826,6 +897,7 @@ let () =
   let serve_only = Array.exists (( = ) "--serve-only") Sys.argv in
   let pages_only = Array.exists (( = ) "--pages-only") Sys.argv in
   let composite_only = Array.exists (( = ) "--composite-only") Sys.argv in
+  let amnesia_only = Array.exists (( = ) "--amnesia-only") Sys.argv in
   let failures =
     if disk_only then
       (* full-coverage disk sweep: every crash point, every byte *)
@@ -851,6 +923,14 @@ let () =
     else if composite_only then
       (* full-coverage composite sweep: every seed, every crash point *)
       List.fold_left (fun acc seed -> acc + composite_sweep ~seed ~stride:1) 0 seeds
+    else if amnesia_only then
+      (* full-coverage amnesia sweep: every seed, mode and delivery point *)
+      List.fold_left
+        (fun acc seed ->
+          List.fold_left
+            (fun acc (mode_name, mode) -> acc + amnesia_sweep ~seed ~mode_name ~mode ~stride:1)
+            acc modes)
+        0 seeds
     else
       List.fold_left
         (fun acc seed ->
@@ -877,6 +957,9 @@ let () =
       (* strided composite axis: crash mid-subprocess under the enforced
          weak order, recover with the same group declarations *)
       + composite_sweep ~seed:11 ~stride:3
+      (* strided amnesia axis on one seed/mode; the full sweep runs behind
+         [--amnesia-only] in CI *)
+      + amnesia_sweep ~seed:11 ~mode_name:"deferred" ~mode:Scheduler.Deferred ~stride:2
   in
   if failures = 0 then Format.printf "crashsweep: all crash points recovered@."
   else Format.printf "crashsweep: %d FAILURES@." failures;
