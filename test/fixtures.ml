@@ -66,3 +66,27 @@ let inv3 n = Activity.Inverse (a3 n)
 (* Alcotest testables *)
 let instance = Alcotest.testable Activity.pp_instance Activity.instance_equal
 let instance_list = Alcotest.list instance
+
+(* The recovery plans of a full and a compacted (or otherwise rewritten)
+   log agree: same committed, aborted and interrupted processes, and the
+   same completion and in-doubt set for every interrupted one. *)
+let check_same_plan tag (full : Tpm_wal.Recovery.t) (small : Tpm_wal.Recovery.t) =
+  let module R = Tpm_wal.Recovery in
+  let check = Alcotest.check in
+  check Alcotest.(list int) (tag ^ ": same committed") full.R.committed small.R.committed;
+  check Alcotest.(list int) (tag ^ ": same aborted") full.R.aborted small.R.aborted;
+  check
+    Alcotest.(list int)
+    (tag ^ ": same interrupted pids")
+    (List.map (fun (p : R.process_plan) -> p.R.pid) full.R.interrupted)
+    (List.map (fun (p : R.process_plan) -> p.R.pid) small.R.interrupted);
+  List.iter2
+    (fun (a : R.process_plan) (b : R.process_plan) ->
+      check instance_list
+        (Printf.sprintf "%s: same completion for P%d" tag a.R.pid)
+        (Execution.completion a.R.exec) (Execution.completion b.R.exec);
+      check
+        Alcotest.(list int)
+        (Printf.sprintf "%s: same in-doubt for P%d" tag a.R.pid)
+        a.R.in_doubt b.R.in_doubt)
+    full.R.interrupted small.R.interrupted

@@ -818,28 +818,6 @@ let test_compact_analyze_random_checkpoints () =
       done)
     [ 21; 23; 29; 31 ]
 
-(* shared plan-equivalence assertion for the fuzzy-span property tests *)
-let check_same_plan tag full small =
-  check Alcotest.(list int) (tag ^ ": same committed") full.Recovery.committed
-    small.Recovery.committed;
-  check Alcotest.(list int) (tag ^ ": same aborted") full.Recovery.aborted
-    small.Recovery.aborted;
-  check
-    Alcotest.(list int)
-    (tag ^ ": same interrupted pids")
-    (List.map (fun (p : Recovery.process_plan) -> p.Recovery.pid) full.Recovery.interrupted)
-    (List.map (fun (p : Recovery.process_plan) -> p.Recovery.pid) small.Recovery.interrupted);
-  List.iter2
-    (fun (a : Recovery.process_plan) (b : Recovery.process_plan) ->
-      check Fixtures.instance_list
-        (Printf.sprintf "%s: same completion for P%d" tag a.Recovery.pid)
-        (Execution.completion a.Recovery.exec) (Execution.completion b.Recovery.exec);
-      check
-        Alcotest.(list int)
-        (Printf.sprintf "%s: same in-doubt for P%d" tag a.Recovery.pid)
-        a.Recovery.in_doubt b.Recovery.in_doubt)
-    full.Recovery.interrupted small.Recovery.interrupted
-
 let with_tmp_wal_dir f =
   let dir = Filename.temp_file "tpm_seg" "" in
   Sys.remove dir;
@@ -898,7 +876,7 @@ let test_compact_analyze_fuzzy_spans_segmented () =
         let tag = Printf.sprintf "seed %d trial %d" seed trial in
         (* memory: compaction preserves the plan across fuzzy spans *)
         (match (Recovery.analyze ~procs log, Recovery.analyze ~procs (Wal.compact log)) with
-        | Ok full, Ok small -> check_same_plan tag full small
+        | Ok full, Ok small -> Fixtures.check_same_plan tag full small
         | Error e, _ | _, Error e -> Alcotest.fail (tag ^ ": analyze failed: " ^ e));
         (* disk: the same log through a real segmented WAL, spans landing
            wherever the tiny segment size puts them *)
@@ -917,7 +895,7 @@ let test_compact_analyze_fuzzy_spans_segmented () =
           ( Recovery.analyze ~procs report.Wal.records,
             Recovery.analyze ~procs (Wal.compact report.Wal.records) )
         with
-        | Ok full, Ok small -> check_same_plan (tag ^ " (disk)") full small
+        | Ok full, Ok small -> Fixtures.check_same_plan (tag ^ " (disk)") full small
         | Error e, _ | _, Error e -> Alcotest.fail (tag ^ ": disk analyze failed: " ^ e)
       done)
     [ 41; 43; 47 ]
@@ -954,7 +932,7 @@ let test_fuzzy_checkpoint_scheduler () =
   let procs = [ construction; production ] in
   (* full vs compacted agree, and recovery from the compacted log finishes *)
   (match (Recovery.analyze ~procs records, Recovery.analyze ~procs (Wal.compact records)) with
-  | Ok full, Ok small -> check_same_plan "organic fuzzy span" full small
+  | Ok full, Ok small -> Fixtures.check_same_plan "organic fuzzy span" full small
   | Error e, _ | _, Error e -> Alcotest.fail ("analyze failed: " ^ e));
   (match Scheduler.recover ~spec ~rms ~procs (Wal.compact records) with
   | Ok t2 ->
@@ -972,7 +950,7 @@ let test_fuzzy_checkpoint_scheduler () =
       records
   in
   match (Recovery.analyze ~procs inside, Recovery.analyze ~procs (Wal.compact inside)) with
-  | Ok full, Ok small -> check_same_plan "crash inside the span" full small
+  | Ok full, Ok small -> Fixtures.check_same_plan "crash inside the span" full small
   | Error e, _ | _, Error e -> Alcotest.fail ("analyze failed inside span: " ^ e)
 
 (* Group commit must change only durability batching, never the log

@@ -9,6 +9,7 @@ module Generator = Tpm_workload.Generator
 module Faults = Tpm_sim.Faults
 module Choice = Tpm_sim.Choice
 module Wal = Tpm_wal.Wal
+module Recovery = Tpm_wal.Recovery
 
 let check = Alcotest.check
 
@@ -226,6 +227,27 @@ let test_drain () =
   check Alcotest.bool "drain is idempotent" true
     (Server.drain srv;
      Server.accounting_ok srv)
+
+(* The drain's checkpoint is the only one a running system takes.  On the
+   log it seals, compaction must drop the records of the processes it
+   closed without changing the recovery plan, and that plan must leave
+   nothing to complete: every admitted process terminated first. *)
+let test_drain_checkpoint_compacts () =
+  let srv = make_server ~policy:Server.Queue ~max_live:2 ~queue_capacity:16 ~deadline:50.0 () in
+  Server.play srv (Generator.arrivals params ~seed:6 ~rate:2.0 ~horizon:6.0);
+  Server.run srv ~until:3.0;
+  Server.drain srv;
+  let records = Scheduler.wal_records (Server.scheduler srv) in
+  let compacted = Wal.compact records in
+  check Alcotest.bool "compaction drops records" true
+    (List.length compacted < List.length records);
+  let procs = Server.admitted_procs srv in
+  match (Recovery.analyze ~procs records, Recovery.analyze ~procs compacted) with
+  | Ok full, Ok small ->
+      Fixtures.check_same_plan "drained log" full small;
+      check Alcotest.int "nothing interrupted" 0 (List.length full.Recovery.interrupted);
+      check Alcotest.bool "some process committed" true (full.Recovery.committed <> [])
+  | Error e, _ | _, Error e -> Alcotest.fail ("analyze failed: " ^ e)
 
 (* --- deterministic overload: same seed + script => bit-identical log --- *)
 
@@ -468,6 +490,7 @@ let suite =
     Alcotest.test_case "breaker opens and closes" `Quick test_breaker_opens_and_closes;
     Alcotest.test_case "breaker half-open probe" `Quick test_breaker_half_open_probe;
     Alcotest.test_case "graceful drain" `Quick test_drain;
+    Alcotest.test_case "drain checkpoint compacts" `Quick test_drain_checkpoint_compacts;
     Alcotest.test_case "deterministic overload (passive)" `Quick
       test_deterministic_overload_passive;
     Alcotest.test_case "deterministic overload (driven)" `Quick
