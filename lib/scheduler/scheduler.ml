@@ -260,7 +260,6 @@ type t = {
   mutable hist : Schedule.t;  (* the emitted schedule, appended at [emit] *)
   scratch : Tpm_core.Bitset.t;  (* per-admission working set (single-threaded) *)
   latent : latent;  (* incrementally maintained latent base *)
-  mutable rev_events : Schedule.event list;
   metrics : Metrics.t;
   attempts : (int * int, int) Hashtbl.t;
   enforce : Enforce.t option;
@@ -278,7 +277,7 @@ type t = {
   bus : Coordinator.msg Bus.t;
   coord : Coordinator.t;
   logf : Wal.record -> unit;
-  mutable ckpt_seq : int;  (* fuzzy checkpoint ids, unique per scheduler *)
+  mutable ckpt_seq : int;  (* checkpoint ids, unique per scheduler *)
   obs : Obs.Tracer.t;  (* per-instance tracer: no state leaks across schedulers *)
   mutable subsys_observer : (subsystem:string -> ok:bool -> unit) option;
       (* availability feedback for the serving layer's circuit breakers:
@@ -505,7 +504,6 @@ let create ?(config = default_config) ?(faults = Faults.none)
       hist = Schedule.make ~spec ~procs:[] [];
       scratch = Bitset.create ();
       latent = latent_create ();
-      rev_events = [];
       metrics;
       attempts = Hashtbl.create 64;
       enforce = (match config.order with Weak -> Some (Enforce.create ()) | Strong -> None);
@@ -686,7 +684,6 @@ let emit t ev =
   | Schedule.Act inst -> bump_pid t (Activity.instance_proc inst)
   | Schedule.Commit pid | Schedule.Abort pid -> bump_pid t pid
   | Schedule.Group_abort pids -> List.iter (bump_pid t) pids);
-  t.rev_events <- ev :: t.rev_events;
   t.hist <- Schedule.append t.hist ev;
   if Obs.Tracer.active t.obs then
     Obs.Tracer.emit t.obs
@@ -1529,7 +1526,7 @@ module Reference = struct
     let hypothetical =
       Schedule.make ~spec:t.spec
         ~procs:(List.map (fun ps -> ps.proc) (pstates t))
-        (List.rev (Schedule.Act (Activity.Forward a) :: t.rev_events))
+        (Schedule.events t.hist @ [ Schedule.Act (Activity.Forward a) ])
     in
     Criteria.red hypothetical
 
@@ -2375,7 +2372,7 @@ and cascade_victims t ~exclude ~seed_instances =
      Occurrences before the original are harmless (the pair cancels around
      them).  The victims' own compensations cascade further. *)
   let indexed =
-    List.mapi (fun i ev -> (i, ev)) (List.rev t.rev_events)
+    List.mapi (fun i ev -> (i, ev)) (Schedule.events t.hist)
     |> List.filter_map (function
          | i, Schedule.Act inst -> Some (i, inst)
          | _, (Schedule.Commit _ | Schedule.Abort _ | Schedule.Group_abort _) -> None)
@@ -2878,37 +2875,30 @@ let log_dirty_pages t =
           t.logf (Wal.Dirty_pages { rm = name; pages = Tpm_kv.Bufpool.dirty_page_table pool }))
     t.rms
 
-let checkpoint t =
-  log t
-    (Wal.Checkpoint
-       { committed = closed_pids t Schedule.Committed; aborted = closed_pids t Schedule.Aborted });
-  (* after the checkpoint record: compaction cuts at the [Checkpoint]
-     position and keeps only later page snapshots *)
-  log_dirty_pages t
-
-(* Fuzzy checkpoint: log [Ckpt_begin] now and seal the span with a
-   [Ckpt_end] one [window] later, naming the processes closed at {e end}
-   time.  Appends keep flowing between the two records — compaction cuts
-   at the begin of the last complete span, so the records written while
-   the checkpoint was being taken survive. *)
-let checkpoint_fuzzy ?(window = 0.5) t =
-  if window < 0.0 then invalid_arg "Scheduler.checkpoint_fuzzy: negative window";
+(* Checkpoint: log [Ckpt_begin] now and seal the span [window] later
+   with the paged stores' [Dirty_pages] snapshots and a [Ckpt_end]
+   naming the processes closed at {e end} time.  Compaction cuts at the
+   begin of the last complete span, so records appended inside a
+   positive window survive.  A zero window seals in the same
+   synchronous block: a caller that syncs next finds the whole span
+   durable. *)
+let checkpoint ?(window = 0.0) t =
+  if window < 0.0 then invalid_arg "Scheduler.checkpoint: negative window";
   t.ckpt_seq <- t.ckpt_seq + 1;
   let ckpt = t.ckpt_seq in
   log t (Wal.Ckpt_begin { ckpt });
-  Des.at t.sim (now t +. window) (fun _ ->
-      if not !(t.crashed) then begin
-        (* inside the span, like the rest of the fuzzy checkpoint's
-           records, so compaction (which cuts at the begin) keeps it *)
-        log_dirty_pages t;
-        log t
-          (Wal.Ckpt_end
-             {
-               ckpt;
-               committed = closed_pids t Schedule.Committed;
-               aborted = closed_pids t Schedule.Aborted;
-             })
-      end)
+  let seal () =
+    log_dirty_pages t;
+    log t
+      (Wal.Ckpt_end
+         {
+           ckpt;
+           committed = closed_pids t Schedule.Committed;
+           aborted = closed_pids t Schedule.Aborted;
+         })
+  in
+  if window = 0.0 then seal ()
+  else Des.at t.sim (now t +. window) (fun _ -> if not !(t.crashed) then seal ())
 
 let wal t = t.wal
 

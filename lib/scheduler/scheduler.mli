@@ -315,21 +315,17 @@ val state_fingerprint : t -> string
     excluded (states differing only in clock value are merged; sound for
     the time-independent oracles the explorer checks). *)
 
-val checkpoint : t -> unit
-(** Appends a checkpoint naming every terminated process; {!Tpm_wal.Wal.compact}
-    can then drop their records from the log.  For every paged
-    resource-manager store it also flushes what the durable marker
-    covers and logs a [Dirty_pages] snapshot, bounding page redo after a
-    crash to the snapshot's minimum rec_lsn. *)
-
-val checkpoint_fuzzy : ?window:float -> t -> unit
-(** Fuzzy checkpoint: appends [Ckpt_begin] now and seals the span with a
-    [Ckpt_end] after [window] (default 0.5) of virtual time, naming the
-    processes closed by then.  Appends keep flowing in between; a crash
-    before the end record leaves the span incomplete and compaction falls
-    back to the previous complete checkpoint.  Paged stores get the same
-    flush-then-[Dirty_pages] treatment as {!checkpoint}, logged inside
-    the span just before [Ckpt_end]. *)
+val checkpoint : ?window:float -> t -> unit
+(** Appends a checkpoint span: [Ckpt_begin] now, and after [window]
+    (default 0.0) of virtual time a [Ckpt_end] naming every process
+    terminated by then; {!Tpm_wal.Wal.compact} can then drop their
+    records from the log.  Just before [Ckpt_end], every paged
+    resource-manager store flushes what the durable marker covers and
+    logs a [Dirty_pages] snapshot, bounding page redo after a crash to
+    the snapshot's minimum rec_lsn.  A zero window seals the span before
+    returning.  A positive window lets appends flow inside the span; a
+    crash before [Ckpt_end] leaves it incomplete, and compaction falls
+    back to the previous complete checkpoint. *)
 
 val wal : t -> Tpm_wal.Wal.t
 (** The scheduler's write-ahead log (for stats, sync and crash imaging

@@ -104,7 +104,7 @@ let analyze ?(on_step = fun _ -> ()) ~procs records =
       | Wal.Process_aborted pid ->
           Hashtbl.replace terminal pid `Aborted;
           steps := Event (Schedule.Abort pid) :: !steps
-      | Wal.Checkpoint { committed; aborted } | Wal.Ckpt_end { committed; aborted; _ } ->
+      | Wal.Ckpt_end { committed; aborted; _ } ->
           List.iter (fun pid -> Hashtbl.replace terminal pid `Committed) committed;
           List.iter (fun pid -> Hashtbl.replace terminal pid `Aborted) aborted
       | Wal.Coord_begin { cid; pid; act; _ } -> Hashtbl.replace coord_acts cid (pid, act)

@@ -21,10 +21,6 @@ type record =
   | Process_committed of int
   | Abort_requested of int
   | Process_aborted of int
-  | Checkpoint of {
-      committed : int list;
-      aborted : int list;
-    }
   | Ckpt_begin of { ckpt : int }
   | Ckpt_end of {
       ckpt : int;
@@ -80,8 +76,8 @@ type record =
    [Dirty_pages] keeps forcing: it rides with checkpoints. *)
 let forces = function
   | Invoked _ | Prepared _ | Prepared_decided _ | Compensated _ | Process_committed _
-  | Process_aborted _ | Checkpoint _ | Ckpt_end _ | Coord_begin _ | Coord_committed _
-  | Dirty_pages _ -> true
+  | Process_aborted _ | Ckpt_end _ | Coord_begin _ | Coord_committed _ | Dirty_pages _ ->
+      true
   | Process_registered _ | Commit_requested _ | Abort_requested _ | Ckpt_begin _
   | Coord_forgotten _ | Kv_write _ -> false
 
@@ -557,12 +553,6 @@ let pp_record fmt = function
   | Process_committed pid -> Format.fprintf fmt "C_%d" pid
   | Abort_requested pid -> Format.fprintf fmt "abort-requested(P_%d)" pid
   | Process_aborted pid -> Format.fprintf fmt "A_%d" pid
-  | Checkpoint { committed; aborted } ->
-      let pp_ints =
-        Format.pp_print_list ~pp_sep:(fun fmt () -> Format.fprintf fmt ",") Format.pp_print_int
-      in
-      Format.fprintf fmt "checkpoint(committed: %a; aborted: %a)" pp_ints committed pp_ints
-        aborted
   | Ckpt_begin { ckpt } -> Format.fprintf fmt "ckpt-begin(#%d)" ckpt
   | Ckpt_end { ckpt; committed; aborted } ->
       let pp_ints =
@@ -593,23 +583,23 @@ let record_pids = function
   | Compensated { pid; _ } -> [ pid ]
   | Coord_begin { pid; _ } | Coord_committed { pid; _ } | Coord_forgotten { pid; _ } ->
       [ pid ]
-  | Checkpoint _ | Ckpt_begin _ | Ckpt_end _ | Kv_write _ | Dirty_pages _ -> []
+  | Ckpt_begin _ | Ckpt_end _ | Kv_write _ | Dirty_pages _ -> []
 
 let compact records =
-  (* The last *complete* checkpoint decides the cut.  An atomic
-     [Checkpoint] cuts at its own position; a fuzzy [Ckpt_end] cuts at
-     its matching [Ckpt_begin] — records appended while the checkpoint
-     was being taken sit inside the span and must survive compaction.
-     A dangling [Ckpt_end] with no surviving begin degrades to an
-     atomic cut at its own position. *)
+  (* The last *complete* checkpoint decides the cut: its [Ckpt_end]
+     cuts at the matching [Ckpt_begin] — records appended while the
+     checkpoint was being taken sit inside the span and must survive
+     compaction.  A dangling [Ckpt_end] with no surviving begin cuts at
+     its own position. *)
   let begins = Hashtbl.create 4 in
   let last =
     List.fold_left
       (fun (i, acc) r ->
-        (match r with Ckpt_begin { ckpt } -> Hashtbl.replace begins ckpt i | _ -> ());
         let acc =
           match r with
-          | Checkpoint { committed; aborted } -> Some (i, committed @ aborted)
+          | Ckpt_begin { ckpt } ->
+              Hashtbl.replace begins ckpt i;
+              acc
           | Ckpt_end { ckpt; committed; aborted } ->
               Some (Option.value ~default:i (Hashtbl.find_opt begins ckpt), committed @ aborted)
           | _ -> acc
@@ -631,11 +621,11 @@ let compact records =
           (* [Dirty_pages] describes the buffer pool at the instant it was
              logged; only the latest one matters and it rides with the
              checkpoint that emitted it, so stale ones compact away like
-             the checkpoint-kind records.  [Kv_write] falls to the default
+             the checkpoint records.  [Kv_write] falls to the default
              branch: its pid set is empty, so it is always kept — page
              redo needs positional LSNs, which only the uncompacted log
              preserves (see the [compact] doc). *)
-          | Checkpoint _ | Ckpt_begin _ | Ckpt_end _ | Dirty_pages _ -> i >= cut
+          | Ckpt_begin _ | Ckpt_end _ | Dirty_pages _ -> i >= cut
           | _ ->
               i > cut
               || not (List.exists (fun pid -> Hashtbl.mem closed_set pid) (record_pids r)))

@@ -38,19 +38,15 @@ type record =
   | Process_committed of int
   | Abort_requested of int
   | Process_aborted of int  (** backward recovery completed: no effects remain *)
-  | Checkpoint of {
-      committed : int list;
-      aborted : int list;
-    }  (** processes closed at checkpoint time (atomic checkpoint) *)
   | Ckpt_begin of { ckpt : int }
-      (** fuzzy checkpoint [ckpt] opened: records until the matching
+      (** checkpoint [ckpt] opened: records until the matching
           {!Ckpt_end} belong to the span and survive compaction *)
   | Ckpt_end of {
       ckpt : int;
       committed : int list;
       aborted : int list;
     }
-      (** fuzzy checkpoint [ckpt] sealed with the processes closed by the
+      (** checkpoint [ckpt] sealed with the processes closed by the
           time it completed; only a {e complete} span bounds replay *)
   | Coord_begin of {
       cid : int;
@@ -238,18 +234,19 @@ end
 val pp_record : Format.formatter -> record -> unit
 
 val record_pids : record -> int list
-(** Processes a record mentions (empty for checkpoint-kind records). *)
+(** Processes a record mentions (empty for checkpoint and page-store
+    records). *)
 
 val compact : record list -> record list
 (** Drops every record that the last {e complete} checkpoint makes
-    redundant: an atomic [Checkpoint] cuts at its own position, a fuzzy
-    [Ckpt_end] cuts at its matching [Ckpt_begin] (records inside the
-    span survive).  Records of processes the checkpoint did not close
-    are kept wherever they appear.  {!Recovery.analyze} yields the same
-    plan on the compacted log.
+    redundant: its [Ckpt_end] cuts at the matching [Ckpt_begin], so
+    records inside the span survive (a [Ckpt_end] whose begin is gone
+    cuts at its own position).  Records of processes the checkpoint did
+    not close are kept wherever they appear.  {!Recovery.analyze} yields
+    the same plan on the compacted log.
 
     Page-store records: stale [Dirty_pages] snapshots compact away with
-    the checkpoint-kind records; [Kv_write] records are always kept.
+    the checkpoint records; [Kv_write] records are always kept.
     Note that compaction renumbers positions, while page LSNs name
     positions in the {e uncompacted} log — {!Recovery.kv_redo} must run
     against the log as loaded from disk, never a compacted copy. *)

@@ -32,7 +32,8 @@ let test_wal_roundtrip () =
       Wal.Compensated { pid = 1; act = 1 };
       Wal.Commit_requested 1;
       Wal.Process_committed 1;
-      Wal.Checkpoint { committed = [ 1 ]; aborted = [] };
+      Wal.Ckpt_begin { ckpt = 1 };
+      Wal.Ckpt_end { ckpt = 1; committed = [ 1 ]; aborted = [] };
     ]
   in
   List.iter (Wal.append wal) records;
@@ -71,8 +72,8 @@ let test_create_refuses_existing_log () =
    append; a page write ([Kv_write]) rides its witness's fsync. *)
 let forcing = function
   | Wal.Invoked _ | Wal.Prepared _ | Wal.Prepared_decided _ | Wal.Compensated _
-  | Wal.Process_committed _ | Wal.Process_aborted _ | Wal.Checkpoint _ | Wal.Ckpt_end _
-  | Wal.Coord_begin _ | Wal.Coord_committed _ | Wal.Dirty_pages _ -> true
+  | Wal.Process_committed _ | Wal.Process_aborted _ | Wal.Ckpt_end _ | Wal.Coord_begin _
+  | Wal.Coord_committed _ | Wal.Dirty_pages _ -> true
   | Wal.Process_registered _ | Wal.Commit_requested _ | Wal.Abort_requested _
   | Wal.Ckpt_begin _ | Wal.Coord_forgotten _ | Wal.Kv_write _ -> false
 
@@ -162,7 +163,6 @@ let gen_record =
       map (fun p -> Wal.Process_committed p) pid;
       map (fun p -> Wal.Abort_requested p) pid;
       map (fun p -> Wal.Process_aborted p) pid;
-      map2 (fun committed aborted -> Wal.Checkpoint { committed; aborted }) pids pids;
       map (fun ckpt -> Wal.Ckpt_begin { ckpt }) cid;
       map3 (fun ckpt committed aborted -> Wal.Ckpt_end { ckpt; committed; aborted }) cid pids
         pids;
@@ -557,7 +557,8 @@ let test_compact_drops_closed_records () =
       Wal.Process_committed 1;
       Wal.Process_registered 2;
       Wal.Invoked { pid = 2; act = 1 };
-      Wal.Checkpoint { committed = [ 1 ]; aborted = [] };
+      Wal.Ckpt_begin { ckpt = 1 };
+      Wal.Ckpt_end { ckpt = 1; committed = [ 1 ]; aborted = [] };
       Wal.Invoked { pid = 2; act = 2 };
     ]
   in
@@ -568,7 +569,7 @@ let test_compact_drops_closed_records () =
     (List.mem (Wal.Invoked { pid = 2; act = 1 }) compacted
     && List.mem (Wal.Invoked { pid = 2; act = 2 }) compacted);
   check Alcotest.bool "checkpoint kept" true
-    (List.exists (function Wal.Checkpoint _ -> true | _ -> false) compacted)
+    (List.exists (function Wal.Ckpt_end _ -> true | _ -> false) compacted)
 
 let test_compact_preserves_recovery_plan () =
   let parts = [ "boiler" ] in
@@ -710,7 +711,7 @@ let test_compact_analyze_equivalent_on_all_prefixes () =
   let procs = [ construction; production ] in
   let n = List.length records in
   check Alcotest.bool "log spans two checkpoints" true
-    (List.length (List.filter (function Wal.Checkpoint _ -> true | _ -> false) records) = 2);
+    (List.length (List.filter (function Wal.Ckpt_end _ -> true | _ -> false) records) = 2);
   for len = 0 to n do
     let prefix = List.filteri (fun i _ -> i < len) records in
     match (Recovery.analyze ~procs prefix, Recovery.analyze ~procs (Wal.compact prefix)) with
@@ -740,38 +741,60 @@ let test_compact_analyze_equivalent_on_all_prefixes () =
         Alcotest.fail (Printf.sprintf "prefix %d: analyze failed: %s" len e)
   done
 
+let with_tmp_wal_dir f =
+  let dir = Filename.temp_file "tpm_seg" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o755;
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun e -> Sys.remove (Filename.concat dir e)) (Sys.readdir dir);
+      Unix.rmdir dir)
+    (fun () -> f (Filename.concat dir "wal.log"))
+
 (* Property: compaction never changes the recovery plan.  Randomized
-   workload logs, crashed at arbitrary points, with synthetic checkpoints
-   spliced in at random positions — each checkpoint names exactly the
-   processes the records before it closed, which is what
-   [Scheduler.checkpoint] would have logged there. *)
+   workload logs, crashed at arbitrary points, with two checkpoint spans
+   ([Ckpt_begin]/[Ckpt_end]) spliced in at random positions.  Each end
+   names exactly the processes the records before it closed, which is
+   what [Scheduler.checkpoint] would have logged there.  On even trials
+   the first span has width 0 (the default checkpoint's shape); the
+   others may cover records and each other.  Page-store noise
+   ([Kv_write], [Dirty_pages]) is sprinkled through the log: it is
+   invisible to process recovery.  The plan must agree whether the log
+   is analyzed directly, compacted first, or round-tripped through a
+   real segmented on-disk WAL, whose tiny segments put the spans at,
+   inside and across segment boundaries. *)
 let test_compact_analyze_random_checkpoints () =
   let rand = Random.State.make [| 0xC0FFEE |] in
-  let splice cuts records =
-    let rec go i ~committed ~aborted = function
-      | [] -> if List.mem i cuts then [ Wal.Checkpoint { committed; aborted } ] else []
-      | r :: rest ->
-          let cp = if List.mem i cuts then [ Wal.Checkpoint { committed; aborted } ] else [] in
-          let committed, aborted =
-            match r with
-            | Wal.Process_committed pid -> (pid :: committed, aborted)
-            | Wal.Process_aborted pid -> (committed, pid :: aborted)
-            | _ -> (committed, aborted)
-          in
-          cp @ (r :: go (i + 1) ~committed ~aborted rest)
-    in
-    go 0 ~committed:[] ~aborted:[] records
+  let terminals_before records e =
+    List.filteri (fun i _ -> i < e) records
+    |> List.fold_left
+         (fun (c, a) r ->
+           match r with
+           | Wal.Process_committed pid -> (pid :: c, a)
+           | Wal.Process_aborted pid -> (c, pid :: a)
+           | _ -> (c, a))
+         ([], [])
   in
-  (* page-store records are invisible to process recovery: sprinkling
-     Kv_write / Dirty_pages through the log must leave the analyze plan
-     bit-identical, compacted or not *)
+  let splice_span rand ~sharp ~ckpt records =
+    let n = List.length records in
+    let b = Random.State.int rand (n + 1) in
+    let e = if sharp then b else b + Random.State.int rand (n + 1 - b) in
+    let committed, aborted = terminals_before records e in
+    let rec go i rs =
+      let here =
+        (if i = b then [ Wal.Ckpt_begin { ckpt } ] else [])
+        @ if i = e then [ Wal.Ckpt_end { ckpt; committed; aborted } ] else []
+      in
+      match rs with [] -> here | r :: rest -> here @ (r :: go (i + 1) rest)
+    in
+    go 0 records
+  in
   let splice_kv rand records =
     List.concat_map
       (fun r ->
         let noise =
           match Random.State.int rand 6 with
-          | 0 ->
-              [ Wal.Kv_write { rm = "ss0"; key = "k"; value = Some "v" } ]
+          | 0 -> [ Wal.Kv_write { rm = "ss0"; key = "k"; value = Some "v" } ]
           | 1 -> [ Wal.Dirty_pages { rm = "ss0"; pages = [ (0, 1); (3, 2) ] } ]
           | _ -> []
         in
@@ -789,92 +812,15 @@ let test_compact_analyze_random_checkpoints () =
       List.iteri (fun i p -> Scheduler.submit t ~at:(0.4 *. float_of_int i) p) procs;
       Scheduler.run ~until:(1.0 +. Random.State.float rand 7.0) t;
       let organic = Scheduler.crash t in
-      let n = List.length organic in
       for trial = 0 to 3 do
-        let cuts = List.init 2 (fun _ -> Random.State.int rand (n + 1)) in
-        let log = splice cuts organic |> splice_kv rand in
+        let log =
+          organic
+          |> splice_span rand ~sharp:(trial mod 2 = 0) ~ckpt:1
+          |> splice_span rand ~sharp:false ~ckpt:2
+          |> splice_kv rand
+        in
         let tag = Printf.sprintf "seed %d trial %d" seed trial in
-        match (Recovery.analyze ~procs log, Recovery.analyze ~procs (Wal.compact log)) with
-        | Ok full, Ok small ->
-            check Alcotest.(list int) (tag ^ ": same committed")
-              full.Recovery.committed small.Recovery.committed;
-            check Alcotest.(list int) (tag ^ ": same aborted")
-              full.Recovery.aborted small.Recovery.aborted;
-            check Alcotest.(list int) (tag ^ ": same interrupted pids")
-              (List.map (fun (p : Recovery.process_plan) -> p.Recovery.pid)
-                 full.Recovery.interrupted)
-              (List.map (fun (p : Recovery.process_plan) -> p.Recovery.pid)
-                 small.Recovery.interrupted);
-            List.iter2
-              (fun (a : Recovery.process_plan) (b : Recovery.process_plan) ->
-                check Fixtures.instance_list
-                  (Printf.sprintf "%s: same completion for P%d" tag a.Recovery.pid)
-                  (Execution.completion a.Recovery.exec) (Execution.completion b.Recovery.exec);
-                check Alcotest.(list int)
-                  (Printf.sprintf "%s: same in-doubt for P%d" tag a.Recovery.pid)
-                  a.Recovery.in_doubt b.Recovery.in_doubt)
-              full.Recovery.interrupted small.Recovery.interrupted
-        | Error e, _ | _, Error e -> Alcotest.fail (tag ^ ": analyze failed: " ^ e)
-      done)
-    [ 21; 23; 29; 31 ]
-
-let with_tmp_wal_dir f =
-  let dir = Filename.temp_file "tpm_seg" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o755;
-  Fun.protect
-    ~finally:(fun () ->
-      Array.iter (fun e -> Sys.remove (Filename.concat dir e)) (Sys.readdir dir);
-      Unix.rmdir dir)
-    (fun () -> f (Filename.concat dir "wal.log"))
-
-(* Property: fuzzy checkpoint spans — [Ckpt_begin]/[Ckpt_end] pairs whose
-   span may cover records, other spans, and (on disk) segment boundaries —
-   never change the recovery plan, whether the log is analyzed directly,
-   compacted first, or round-tripped through a real segmented on-disk WAL.
-   Spans are spliced at random positions, so across trials they land at,
-   inside, and across segment boundaries of the tiny segments used here. *)
-let test_compact_analyze_fuzzy_spans_segmented () =
-  let rand = Random.State.make [| 0xF422 |] in
-  let terminals_before records e =
-    List.filteri (fun i _ -> i < e) records
-    |> List.fold_left
-         (fun (c, a) r ->
-           match r with
-           | Wal.Process_committed pid -> (pid :: c, a)
-           | Wal.Process_aborted pid -> (c, pid :: a)
-           | _ -> (c, a))
-         ([], [])
-  in
-  let splice_span rand ~ckpt records =
-    let n = List.length records in
-    let b = Random.State.int rand (n + 1) in
-    let e = b + Random.State.int rand (n + 1 - b) in
-    let committed, aborted = terminals_before records e in
-    let rec go i rs =
-      let here =
-        (if i = b then [ Wal.Ckpt_begin { ckpt } ] else [])
-        @ if i = e then [ Wal.Ckpt_end { ckpt; committed; aborted } ] else []
-      in
-      match rs with [] -> here | r :: rest -> here @ (r :: go (i + 1) rest)
-    in
-    go 0 records
-  in
-  List.iter
-    (fun seed ->
-      let params = { Generator.default_params with services = 8; conflict_density = 0.3 } in
-      let rms = Generator.rms params ~seed () in
-      let spec = Generator.spec params in
-      let config = { Scheduler.default_config with seed } in
-      let t = Scheduler.create ~config ~spec ~rms () in
-      let procs = Generator.batch ~seed:(seed * 17) params ~n:4 in
-      List.iteri (fun i p -> Scheduler.submit t ~at:(0.4 *. float_of_int i) p) procs;
-      Scheduler.run ~until:(1.0 +. Random.State.float rand 7.0) t;
-      let organic = Scheduler.crash t in
-      for trial = 0 to 3 do
-        let log = splice_span rand ~ckpt:2 (splice_span rand ~ckpt:1 organic) in
-        let tag = Printf.sprintf "seed %d trial %d" seed trial in
-        (* memory: compaction preserves the plan across fuzzy spans *)
+        (* memory: compaction preserves the plan across spans *)
         (match (Recovery.analyze ~procs log, Recovery.analyze ~procs (Wal.compact log)) with
         | Ok full, Ok small -> Fixtures.check_same_plan tag full small
         | Error e, _ | _, Error e -> Alcotest.fail (tag ^ ": analyze failed: " ^ e));
@@ -898,10 +844,10 @@ let test_compact_analyze_fuzzy_spans_segmented () =
         | Ok full, Ok small -> Fixtures.check_same_plan (tag ^ " (disk)") full small
         | Error e, _ | _, Error e -> Alcotest.fail (tag ^ ": disk analyze failed: " ^ e)
       done)
-    [ 41; 43; 47 ]
+    [ 21; 23; 29; 31; 41; 43; 47 ]
 
-(* Organic fuzzy checkpoint: [Scheduler.checkpoint_fuzzy] logs the
-   begin/end span on the virtual clock while the workload keeps running
+(* Organic fuzzy checkpoint: [Scheduler.checkpoint] with a positive
+   window logs the begin/end span on the virtual clock while the workload keeps running
    inside it; a crash after the span must recover identically from the
    full and the compacted log, and a crash *inside* the span (end never
    logged) must leave the plan unchanged too. *)
@@ -914,7 +860,7 @@ let test_fuzzy_checkpoint_scheduler () =
   let t = Scheduler.create ~spec ~rms () in
   Scheduler.submit t ~args_of:Cim.args_of construction;
   Scheduler.run ~until:4.5 t;
-  Scheduler.checkpoint_fuzzy ~window:0.8 t;
+  Scheduler.checkpoint ~window:0.8 t;
   Scheduler.submit t ~at:5.0 ~args_of:Cim.args_of production;
   Scheduler.run t;
   let records = Scheduler.crash t in
@@ -1073,8 +1019,6 @@ let checkpoint_suite =
       test_compact_analyze_equivalent_on_all_prefixes;
     Alcotest.test_case "compact/analyze agree on random checkpointed logs" `Quick
       test_compact_analyze_random_checkpoints;
-    Alcotest.test_case "fuzzy spans on segmented logs preserve the plan" `Quick
-      test_compact_analyze_fuzzy_spans_segmented;
     Alcotest.test_case "scheduler fuzzy checkpoint crash/recover" `Quick
       test_fuzzy_checkpoint_scheduler;
     Alcotest.test_case "group commit: same log, fewer fsyncs" `Quick

@@ -81,8 +81,8 @@ dune exec tools/stress.exe -- --serve --seeds 41-44 --check-admission --serve-ho
 # suite replaying exactly the admitted (possibly degraded) processes
 dune exec tools/crashsweep.exe -- --serve-only
 # page-level crash sweep: crash between EVERY pair of buffer-pool page
-# flushes (1-frame pools over ballasted stores, sharp + fuzzy checkpoints
-# mid-run), assert the WAL rule on the surviving page files (no page LSN
+# flushes (1-frame pools over ballasted stores, two checkpoints mid-run:
+# one sealed at once, one over a window), assert the WAL rule on the surviving page files (no page LSN
 # beyond the durable marker), recover every store through the
 # checkpoint-bounded redo plan against a durable-replay twin, and probe
 # the torn-page posture (fail-stop refuses, salvage + full redo repairs)

@@ -636,12 +636,13 @@ let page_run ~seed ~path ~crash_after_flushes =
      every one of them a crash point *)
   fill_rms rms;
   if not (Scheduler.is_crashed t) then submit_all t (page_procs seed);
-  (* two checkpoints partway — one sharp, one fuzzy — so the sweep hits
-     crash points before, between, inside and after Dirty_pages snapshots *)
+  (* two checkpoints partway — one sealed at once, one over a 0.5 window —
+     so the sweep hits crash points before, between, inside and after
+     Dirty_pages snapshots *)
   Scheduler.run ~until:1.2 t;
   if not (Scheduler.is_crashed t) then Scheduler.checkpoint t;
   Scheduler.run ~until:2.5 t;
-  if not (Scheduler.is_crashed t) then Scheduler.checkpoint_fuzzy t;
+  if not (Scheduler.is_crashed t) then Scheduler.checkpoint ~window:0.5 t;
   Scheduler.run ~until:horizon t;
   (t, rms, !flushes, !durable_at_crash)
 
