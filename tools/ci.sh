@@ -29,6 +29,14 @@ case "$out" in
   *"forensics: last trace events"*) ;;
   *) echo "ci: forensics dump missing from injected-failure output"; exit 1 ;;
 esac
+# the same self-test on the churn arm
+out=$(dune exec tools/stress.exe -- --churn --seeds 41 --modes deferred \
+        --trace-ring --inject-failure) && {
+  echo "ci: injected failure did not fail the churn stress run"; exit 1; } || true
+case "$out" in
+  *"forensics: last trace events"*) ;;
+  *) echo "ci: forensics dump missing from injected-failure churn output"; exit 1 ;;
+esac
 # systematic exploration: exhaust the built-in scenarios (also regenerates
 # the P13 state-count record), then the mutation self-test — disabling the
 # Lemma-1 commit deferral (a test-only scheduler hook) must yield a PRED

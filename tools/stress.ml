@@ -214,6 +214,21 @@ let judge failures ?(forensics = ignore) repro violations =
     forensics ()
   end
 
+(* Failure forensics: under --trace-ring every scheduler records into a
+   ring buffer, and a failing run dumps its last trace events and its
+   metrics snapshot. *)
+let mk_tracer () =
+  if !trace_ring then Obs.Tracer.create ~ring_capacity:256 () else Obs.Tracer.disabled
+
+let dump_forensics sched = if !trace_ring then Scheduler.forensics Format.std_formatter sched
+
+(* --inject-failure: leak a prepared token at the first activity's
+   subsystem, which the oracle must catch *)
+let inject_leak rms procs =
+  let a = List.hd (Process.activities (List.hd procs)) in
+  let rm = List.find (fun rm -> Rm.name rm = a.Activity.subsystem) rms in
+  ignore (Rm.prepare rm ~token:max_int ~service:a.Activity.service ~attempt:max_int ())
+
 (* --- server-mode stress ---
 
    Open-loop arrivals against the bounded-admission server.  Fault-free on
@@ -248,10 +263,6 @@ let serve_stress () =
                      else Scheduler.Incremental);
                 }
               in
-              let mk_tracer () =
-                if !trace_ring then Obs.Tracer.create ~ring_capacity:256 ()
-                else Obs.Tracer.disabled
-              in
               let rms = Generator.rms params ~seed () in
               let sched =
                 Scheduler.create ~config ~tracer:(mk_tracer ()) ~spec ~rms ()
@@ -276,9 +287,7 @@ let serve_stress () =
                   policy_name rate !serve_horizon
                   (if !check_admission then " check-admission" else "")
               in
-              let dump_forensics () =
-                if !trace_ring then Scheduler.forensics Format.std_formatter sched
-              in
+              let dump_forensics () = dump_forensics sched in
               (try
                  Server.play srv script;
                  Server.run srv;
@@ -359,17 +368,36 @@ let sharded_stress () =
         dir
       in
       let wal_path = Filename.concat wal_dir "wal.log" in
+      let buckets = Array.of_list (Shard.partition ~shards:!shards_opt ~spec items) in
+      (* [Shard.run_parallel] runs untraced schedulers.  Buckets are
+         deterministic, so forensics replays the failing shard alone with
+         a ring tracer and dumps that replay. *)
+      let shard_forensics i =
+        if !trace_ring then begin
+          let t = Scheduler.create ~config ~tracer:(mk_tracer ()) ~spec ~rms:(make_rms ()) () in
+          List.iter (fun (at, p) -> Scheduler.submit t ~at p) buckets.(i);
+          (try Scheduler.run t
+           with e ->
+             Format.printf "%s shard=%d replay EXCEPTION %s@." (repro ()) i
+               (Printexc.to_string e));
+          dump_forensics t
+        end
+      in
       match
         Shard.run_parallel ~shards:!shards_opt ~domains:!domains_opt ~config ~spec
           ~make_rms ~wal_path items
       with
       | exception e ->
           incr failures;
-          Format.printf "%s EXCEPTION %s@." (repro ()) (Printexc.to_string e)
+          Format.printf "%s EXCEPTION %s@." (repro ()) (Printexc.to_string e);
+          Array.iteri (fun i _ -> shard_forensics i) buckets
       | scheds ->
           List.iteri
             (fun i t ->
-              judge failures (Printf.sprintf "%s shard=%d" (repro ()) i) (Oracle.run t))
+              judge failures
+                ~forensics:(fun () -> shard_forensics i)
+                (Printf.sprintf "%s shard=%d" (repro ()) i)
+                (Oracle.run t))
             scheds;
           let covered =
             List.concat_map
@@ -418,9 +446,6 @@ let sharded_stress () =
              ["wal.log.shard<i>"] must load clean and recover, with that
              shard's submissions, to the same terminal statuses the live
              shard reached *)
-          let buckets =
-            Array.of_list (Shard.partition ~shards:!shards_opt ~spec items)
-          in
           List.iteri
             (fun i t ->
               ignore (Wal.sync (Scheduler.wal t));
@@ -503,7 +528,7 @@ let churn_stress () =
                  else Scheduler.Incremental);
             }
           in
-          let t = Scheduler.create ~config ~spec ~rms () in
+          let t = Scheduler.create ~config ~tracer:(mk_tracer ()) ~spec ~rms () in
           let procs = Generator.batch ~seed:(seed * 100) params ~n:!n_procs in
           List.iteri
             (fun i p -> Scheduler.submit t ~at:(0.6 *. float_of_int i) p)
@@ -533,9 +558,11 @@ let churn_stress () =
              Scheduler.run ~until:100000.0 t
            with e ->
              incr failures;
-             Format.printf "%s EXCEPTION %s@." (repro ()) (Printexc.to_string e));
+             Format.printf "%s EXCEPTION %s@." (repro ()) (Printexc.to_string e);
+             dump_forensics t);
           ignore (Scheduler.gc_deps t);
-          judge failures (repro ())
+          if !inject_failure && !runs = 1 then inject_leak rms procs;
+          judge failures ~forensics:(fun () -> dump_forensics t) (repro ())
             (Oracle.run t
             @
             match Scheduler.latent_self_check t with
@@ -628,10 +655,6 @@ let () =
                         Option.map (fun d -> Filename.concat d "wal.log") wal_dir
                       in
                       let procs = Generator.batch ~seed:(seed * 100) params ~n:!n_procs in
-                      let mk_tracer () =
-                        if !trace_ring then Obs.Tracer.create ~ring_capacity:256 ()
-                        else Obs.Tracer.disabled
-                      in
                       let t =
                         Scheduler.create ~config ~faults ~tracer:(mk_tracer ()) ~spec
                           ~rms ?wal_path ()
@@ -649,10 +672,6 @@ let () =
                         match !sync_policy with
                         | Some (name, _) -> " sync=" ^ name
                         | None -> ""
-                      in
-                      let dump_forensics sched =
-                        if !trace_ring then
-                          Scheduler.forensics Format.std_formatter sched
                       in
                       let guarded sched f =
                         try f ()
@@ -707,13 +726,7 @@ let () =
                       in
                       (* the self-test leaks a prepared token in the first
                          run, which the oracle must catch *)
-                      if !inject_failure && !runs = 1 then begin
-                        let a = List.hd (Process.activities (List.hd procs)) in
-                        let rm = List.find (fun rm -> Rm.name rm = a.Activity.subsystem) rms in
-                        ignore
-                          (Rm.prepare rm ~token:max_int ~service:a.Activity.service
-                             ~attempt:max_int ())
-                      end;
+                      if !inject_failure && !runs = 1 then inject_leak rms procs;
                       judge failures ~forensics:(fun () -> dump_forensics t) (repro ())
                         (Oracle.run t);
                       (* pure message faults never change outcomes: the final
