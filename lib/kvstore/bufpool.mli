@@ -77,7 +77,7 @@ val frozen : t -> bool
 
 val dirty_page_table : t -> (int * int) list
 (** [(page id, rec_lsn)] of every dirty frame, sorted by page id — what
-    a fuzzy checkpoint logs as {!Wal.Dirty_pages}. *)
+    a checkpoint logs as {!Wal.Dirty_pages}. *)
 
 val min_rec_lsn : t -> int option
 
