@@ -591,17 +591,7 @@ let test_compact_preserves_recovery_plan () =
     (List.length compacted < List.length records);
   let procs = [ construction; production ] in
   match (Recovery.analyze ~procs records, Recovery.analyze ~procs compacted) with
-  | Ok full, Ok small ->
-      check Alcotest.(list int) "same committed" full.Recovery.committed small.Recovery.committed;
-      check Alcotest.int "same interrupted count"
-        (List.length full.Recovery.interrupted)
-        (List.length small.Recovery.interrupted);
-      List.iter2
-        (fun (a : Recovery.process_plan) (b : Recovery.process_plan) ->
-          check Alcotest.int "same pid" a.Recovery.pid b.Recovery.pid;
-          check Fixtures.instance_list "same completion" (Execution.completion a.Recovery.exec)
-            (Execution.completion b.Recovery.exec))
-        full.Recovery.interrupted small.Recovery.interrupted
+  | Ok full, Ok small -> Fixtures.check_same_plan "compacted" full small
   | Error e, _ | _, Error e -> Alcotest.fail e
 
 let test_recover_from_compacted_log () =
@@ -715,28 +705,7 @@ let test_compact_analyze_equivalent_on_all_prefixes () =
   for len = 0 to n do
     let prefix = List.filteri (fun i _ -> i < len) records in
     match (Recovery.analyze ~procs prefix, Recovery.analyze ~procs (Wal.compact prefix)) with
-    | Ok full, Ok small ->
-        check Alcotest.(list int)
-          (Printf.sprintf "prefix %d: same committed" len)
-          full.Recovery.committed small.Recovery.committed;
-        check Alcotest.(list int)
-          (Printf.sprintf "prefix %d: same aborted" len)
-          full.Recovery.aborted small.Recovery.aborted;
-        check Alcotest.(list int)
-          (Printf.sprintf "prefix %d: same interrupted pids" len)
-          (List.map (fun (p : Recovery.process_plan) -> p.Recovery.pid)
-             full.Recovery.interrupted)
-          (List.map (fun (p : Recovery.process_plan) -> p.Recovery.pid)
-             small.Recovery.interrupted);
-        List.iter2
-          (fun (a : Recovery.process_plan) (b : Recovery.process_plan) ->
-            check Fixtures.instance_list
-              (Printf.sprintf "prefix %d: same completion for P%d" len a.Recovery.pid)
-              (Execution.completion a.Recovery.exec) (Execution.completion b.Recovery.exec);
-            check Alcotest.(list int)
-              (Printf.sprintf "prefix %d: same in-doubt for P%d" len a.Recovery.pid)
-              a.Recovery.in_doubt b.Recovery.in_doubt)
-          full.Recovery.interrupted small.Recovery.interrupted
+    | Ok full, Ok small -> Fixtures.check_same_plan (Printf.sprintf "prefix %d" len) full small
     | Error e, _ | _, Error e ->
         Alcotest.fail (Printf.sprintf "prefix %d: analyze failed: %s" len e)
   done
@@ -755,7 +724,9 @@ let with_tmp_wal_dir f =
    workload logs, crashed at arbitrary points, with two checkpoint spans
    ([Ckpt_begin]/[Ckpt_end]) spliced in at random positions.  Each end
    names exactly the processes the records before it closed, which is
-   what [Scheduler.checkpoint] would have logged there.  On even trials
+   what [Scheduler.checkpoint] would have logged there.  The first
+   process is asked to abort, so the ends name aborted processes too.
+   On even trials
    the first span has width 0 (the default checkpoint's shape); the
    others may cover records and each other.  Page-store noise
    ([Kv_write], [Dirty_pages]) is sprinkled through the log: it is
@@ -810,7 +781,8 @@ let test_compact_analyze_random_checkpoints () =
       let t = Scheduler.create ~config ~spec ~rms () in
       let procs = Generator.batch ~seed:(seed * 17) params ~n:4 in
       List.iteri (fun i p -> Scheduler.submit t ~at:(0.4 *. float_of_int i) p) procs;
-      Scheduler.run ~until:(1.0 +. Random.State.float rand 7.0) t;
+      Scheduler.request_abort t ~at:0.5 (Process.pid (List.hd procs));
+      Scheduler.run ~until:(1.0 +. Random.State.float rand 20.0) t;
       let organic = Scheduler.crash t in
       for trial = 0 to 3 do
         let log =
