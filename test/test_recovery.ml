@@ -726,16 +726,16 @@ let with_tmp_wal_dir f =
    names exactly the processes the records before it closed, which is
    what [Scheduler.checkpoint] would have logged there.  The first
    process is asked to abort, so the ends name aborted processes too.
-   On even trials
-   the first span has width 0 (the default checkpoint's shape); the
-   others may cover records and each other.  Page-store noise
+   With [~sharp_even], the first span has width 0 on even trials (the
+   default checkpoint's shape); the other spans may cover records and
+   each other.  Page-store noise
    ([Kv_write], [Dirty_pages]) is sprinkled through the log: it is
    invisible to process recovery.  The plan must agree whether the log
    is analyzed directly, compacted first, or round-tripped through a
    real segmented on-disk WAL, whose tiny segments put the spans at,
    inside and across segment boundaries. *)
-let test_compact_analyze_random_checkpoints () =
-  let rand = Random.State.make [| 0xC0FFEE |] in
+let compact_analyze_property ~rng ~sharp_even seeds =
+  let rand = Random.State.make [| rng |] in
   let terminals_before records e =
     List.filteri (fun i _ -> i < e) records
     |> List.fold_left
@@ -787,7 +787,7 @@ let test_compact_analyze_random_checkpoints () =
       for trial = 0 to 3 do
         let log =
           organic
-          |> splice_span rand ~sharp:(trial mod 2 = 0) ~ckpt:1
+          |> splice_span rand ~sharp:(sharp_even && trial mod 2 = 0) ~ckpt:1
           |> splice_span rand ~sharp:false ~ckpt:2
           |> splice_kv rand
         in
@@ -816,7 +816,15 @@ let test_compact_analyze_random_checkpoints () =
         | Ok full, Ok small -> Fixtures.check_same_plan (tag ^ " (disk)") full small
         | Error e, _ | _, Error e -> Alcotest.fail (tag ^ ": disk analyze failed: " ^ e)
       done)
-    [ 21; 23; 29; 31; 41; 43; 47 ]
+    seeds
+
+let test_compact_analyze_random_checkpoints () =
+  compact_analyze_property ~rng:0xC0FFEE ~sharp_even:true [ 21; 23; 29; 31 ]
+
+(* Every span fuzzy: begin and end may straddle records, each other and
+   segment boundaries. *)
+let test_compact_analyze_fuzzy_spans_segmented () =
+  compact_analyze_property ~rng:0xF422 ~sharp_even:false [ 41; 43; 47 ]
 
 (* Organic fuzzy checkpoint: [Scheduler.checkpoint] with a positive
    window logs the begin/end span on the virtual clock while the workload keeps running
@@ -991,6 +999,8 @@ let checkpoint_suite =
       test_compact_analyze_equivalent_on_all_prefixes;
     Alcotest.test_case "compact/analyze agree on random checkpointed logs" `Quick
       test_compact_analyze_random_checkpoints;
+    Alcotest.test_case "fuzzy spans on segmented logs preserve the plan" `Quick
+      test_compact_analyze_fuzzy_spans_segmented;
     Alcotest.test_case "scheduler fuzzy checkpoint crash/recover" `Quick
       test_fuzzy_checkpoint_scheduler;
     Alcotest.test_case "group commit: same log, fewer fsyncs" `Quick
