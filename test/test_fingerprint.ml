@@ -125,10 +125,54 @@ let test_history_identity () =
           (history_digest (run ~mode:Scheduler.Conservative ~seed ())))
     golden_history
 
+(* [Naive_sr] on bench P1's workload (default generator parameters,
+   10 processes submitted 0.3 vt apart, no injected failures): the one
+   admission path that asks [Deps.would_cycle].  Each golden is a digest
+   of the state fingerprint, a digest of the history, and the
+   [admission_delays] count. *)
+let golden_naive =
+  [
+    (0.3, 2, "state=a25862a17d58f64ce844656bedef30f2|history=362fe33da9ad74005fe1a31dcddb3db7|delays=267");
+    (0.3, 3, "state=5ad66ada52643444c7c1a5644c6878ae|history=b63d6d58db0cfdb2d197462f5973226c|delays=301");
+    (0.3, 5, "state=5de1ac04261a920cfa8855570043b040|history=5959d2ef4b821cac081ee7cfa9127ef8|delays=310");
+    (0.5, 2, "state=7923c3c64a493c8a003080778dc05e50|history=8a24f04203f465c037d9aee62ac4b8c2|delays=370");
+    (0.5, 3, "state=aeca4735483eae3b4a3d1f6189662eda|history=184aaee5a7fa09be651ae5fa240c8bcc|delays=241");
+    (0.5, 5, "state=0e3584042217638d0a05cccca928c2d6|history=1839a1f79aee9df6133f36701a9bc867|delays=235");
+  ]
+
+let run_naive ?(engine = Scheduler.Incremental) ~density ~seed () =
+  let params = { Generator.default_params with conflict_density = density } in
+  let config =
+    { Scheduler.default_config with mode = Scheduler.Naive_sr; seed; admission_engine = engine }
+  in
+  let rms = Generator.rms params ~fail_prob:(fun _ -> 0.0) ~seed () in
+  let t = Scheduler.create ~config ~spec:(Generator.spec params) ~rms () in
+  List.iteri
+    (fun i p -> Scheduler.submit t ~at:(0.3 *. float_of_int i) p)
+    (Generator.batch ~seed:(seed * 131) params ~n:10);
+  Scheduler.run ~until:1e6 t;
+  Printf.sprintf "state=%s|history=%s|delays=%d"
+    (Digest.to_hex (Digest.string (Scheduler.state_fingerprint t)))
+    (history_digest t)
+    (Tpm_sim.Metrics.count (Scheduler.metrics t) "admission_delays")
+
+let test_naive_identity engine () =
+  List.iter
+    (fun (density, seed, expect) ->
+      Alcotest.check Alcotest.string
+        (Printf.sprintf "naive-SR density=%.1f seed=%d matches the recorded run" density seed)
+        expect
+        (run_naive ~engine ~density ~seed ()))
+    golden_naive
+
 let suite =
   [
     Alcotest.test_case "default-config runs match pre-PR fingerprints" `Quick test_bit_identity;
     Alcotest.test_case "weak-order runs match recorded fingerprints" `Quick test_weak_bit_identity;
     Alcotest.test_case "deferring modes keep their recorded histories" `Quick
       test_history_identity;
+    Alcotest.test_case "naive-SR runs match recorded fingerprints" `Quick
+      (test_naive_identity Scheduler.Incremental);
+    Alcotest.test_case "naive-SR checked engine matches the same fingerprints" `Quick
+      (test_naive_identity Scheduler.Checked);
   ]
