@@ -743,8 +743,8 @@ let section_p10 () =
   Format.printf "trimming the p95 without changing throughput or outcomes.@."
 
 (* P11: the incremental admission engine (interned services, conflict
-   bitmatrix, cached future/occurrence bitsets, Pearce–Kelly cycle
-   detection, O(1) schedule append) against the string-based reference
+   bitmatrix, cached future/occurrence bitsets, cycle detection against
+   the combined graph's maintained order, O(1) schedule append) against the string-based reference
    path it replaced.  Both engines take identical decisions — the
    differential stress (`tools/stress.exe --check-admission`) proves it —
    so the comparison is pure cost.  The admission path is timed per call
@@ -964,7 +964,7 @@ let section_p11 ?(quick = false) ?json () =
   Format.printf
     "process count and history length.  The incremental engine's bitset@.";
   Format.printf
-    "intersections and Pearce-Kelly maintenance keep the mean near-flat.@.";
+    "intersections and maintained topological order keep the mean near-flat.@.";
   (match json with
   | None -> ()
   | Some path ->

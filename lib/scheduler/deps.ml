@@ -1,35 +1,29 @@
-(* Incremental dependency graph.
-
-   The scheduler asks [would_cycle] on every admission; rebuilding a
-   [Digraph] and running DFS from scratch made that O(V + E) per query.
-   Instead we maintain a dynamic topological order over the acyclic part
-   of the graph (Pearce & Kelly, "A Dynamic Topological Sort Algorithm
-   for Directed Acyclic Graphs", JEA 2006): inserting an edge that
-   already respects the order is O(1); otherwise only the affected
-   region — nodes between the endpoints in the order — is discovered by
-   two bounded DFS passes and locally reindexed.  [would_cycle extra]
-   then has a constant-time fast path: if every extra edge runs forward
-   in the maintained order, the union is acyclic by construction.
+(* Dependency graph.
 
    One caller inserts edges without asking first: completion activities
    of a rolling-back process ([apply_rollback_item]) may legitimately
    close a cycle — the victim is already aborting, and its abort event
-   will erase the edges.  Such cycle-closing inserts cannot enter the
-   DAG (they have no valid position in the order); they are parked in
-   [back] and retried whenever an abort removes edges.  While [back] is
-   non-empty the graph *is* cyclic, and [would_cycle] answers [true]
-   outright, which keeps its verdicts exact.
+   will erase the edges.  [add_edge] parks such an edge in [back] — iff
+   its target already reaches its source along stored DAG edges — so the
+   DAG part stays acyclic; parked edges are retried whenever an abort
+   removes edges.  While [back] is non-empty the graph *is* cyclic.
+
+   The graph keeps no topological order of its own: the scheduler's
+   admission maintains one over its combined graph (these edges ∪ the
+   latent edges of the completed schedule), and [would_cycle] — asked
+   only by the [Naive_sr] baseline and the Reference engine — rebuilds a
+   [Digraph] from scratch.
 
    Retirement (DESIGN §8).  A process *retires* once it has terminated
    and every predecessor has retired (aborted ones leave no edges).  Such
    a process cannot lie on a future cycle: terminated processes gain no
-   in-edges, and its ancestors are all terminated.  It leaves the order
-   ([ord]) and drops its in-edges — they all come from retired sources —
-   and an edge whose source is retired is never stored.  Its out-edges
-   into unretired targets stay until those targets retire.  So the
-   stored graph tracks the unretired processes, not the history.  The
-   caller may [hold] a terminated process unretired (the scheduler does
-   while an abandoned invocation is still in flight). *)
+   in-edges, and its ancestors are all terminated.  It drops its
+   in-edges — they all come from retired sources — and an edge whose
+   source is retired is never stored.  Its out-edges into unretired
+   targets stay until those targets retire.  So the stored graph tracks
+   the unretired processes, not the history.  The caller may [hold] a
+   terminated process unretired (the scheduler does while an abandoned
+   invocation is still in flight). *)
 
 type status =
   | Live
@@ -40,15 +34,12 @@ type t = {
   status : (int, status) Hashtbl.t;
   succ : (int, (int, unit) Hashtbl.t) Hashtbl.t;  (* DAG adjacency *)
   pred : (int, (int, unit) Hashtbl.t) Hashtbl.t;
-  ord : (int, int) Hashtbl.t;  (* topological index; DAG edges increase it *)
   back : (int * int, unit) Hashtbl.t;  (* parked cycle-closing edges *)
   retired : (int, unit) Hashtbl.t;
   held : (int, unit) Hashtbl.t;  (* terminated, kept unretired by the caller *)
-  mutable retired_rev : int list;  (* retirement order, newest first *)
   mutable on_retire : int -> unit;
-  mutable next_ord : int;
   mutable sorted_edges : (int * int) list option;  (* memoized [edges] view *)
-  mutable check : bool;  (* cross-check every verdict against the oracle *)
+  mutable check : bool;  (* cross-check every predecessor walk against the oracle *)
 }
 
 let create () =
@@ -56,13 +47,10 @@ let create () =
     status = Hashtbl.create 16;
     succ = Hashtbl.create 16;
     pred = Hashtbl.create 16;
-    ord = Hashtbl.create 16;
     back = Hashtbl.create 4;
     retired = Hashtbl.create 16;
     held = Hashtbl.create 4;
-    retired_rev = [];
     on_retire = ignore;
-    next_ord = 0;
     sorted_edges = None;
     check = false;
   }
@@ -79,14 +67,7 @@ let adj tbl n =
       Hashtbl.add tbl n h;
       h
 
-let ensure_node t n =
-  if not (Hashtbl.mem t.ord n) then begin
-    Hashtbl.replace t.ord n t.next_ord;
-    t.next_ord <- t.next_ord + 1
-  end
-
 let add_process t pid =
-  if not (retired t pid) then ensure_node t pid;
   if not (Hashtbl.mem t.status pid) then Hashtbl.replace t.status pid Live
 
 let status t pid = Option.value ~default:Live (Hashtbl.find_opt t.status pid)
@@ -97,49 +78,30 @@ let dag_mem t i j =
   match Hashtbl.find_opt t.succ i with Some h -> Hashtbl.mem h j | None -> false
 
 let mem_edge t i j = dag_mem t i j || Hashtbl.mem t.back (i, j)
-let ord t n = Hashtbl.find t.ord n
-
-(* a retired node has no position: it precedes every positioned node *)
-let ord_or_min t n = Option.value ~default:min_int (Hashtbl.find_opt t.ord n)
+let parked t = List.sort compare (Hashtbl.fold (fun e () acc -> e :: acc) t.back [])
 
 let insert_dag t i j =
   Hashtbl.replace (adj t.succ i) j ();
   Hashtbl.replace (adj t.pred j) i ()
 
-exception Cycle
-
-(* nodes reachable from [start] along DAG edges within ord < ub;
-   raises [Cycle] on reaching [target] (whose ord is ub) *)
-let discover_forward t ~target ~ub start =
+(* does [a] reach [b] along stored DAG edges? *)
+let dag_reaches t a b =
   let seen = Hashtbl.create 8 in
+  let exception Found in
   let rec go n =
-    Hashtbl.replace seen n ();
     match Hashtbl.find_opt t.succ n with
     | None -> ()
     | Some h ->
         Hashtbl.iter
           (fun k () ->
-            if k = target then raise Cycle;
-            if ord t k < ub && not (Hashtbl.mem seen k) then go k)
+            if k = b then raise Found;
+            if not (Hashtbl.mem seen k) then begin
+              Hashtbl.replace seen k ();
+              go k
+            end)
           h
   in
-  go start;
-  seen
-
-(* nodes reaching [start] along DAG edges within ord > lb *)
-let discover_backward t ~lb start =
-  let seen = Hashtbl.create 8 in
-  let rec go n =
-    Hashtbl.replace seen n ();
-    match Hashtbl.find_opt t.pred n with
-    | None -> ()
-    | Some h ->
-        Hashtbl.iter
-          (fun k () -> if ord_or_min t k > lb && not (Hashtbl.mem seen k) then go k)
-          h
-  in
-  go start;
-  seen
+  match go a with () -> false | exception Found -> true
 
 (* every stored predecessor / successor, parked cycle-closing edges
    included *)
@@ -184,8 +146,8 @@ let remove_dag t i j =
 
 (* Retire [n] if it qualifies, then every terminated successor that was
    waiting on it.  A retired node's in-edges all come from retired
-   sources, so they are dropped with its position; its out-edges stay
-   until their targets retire. *)
+   sources, so they are dropped; its out-edges stay until their targets
+   retire. *)
 let rec settle t n =
   if
     status t n <> Live
@@ -198,27 +160,13 @@ let rec settle t n =
     | exception Unretired -> false
   then begin
     Hashtbl.replace t.retired n ();
-    t.retired_rev <- n :: t.retired_rev;
     List.iter (fun i -> remove_dag t i n) (neighbours t.pred n);
-    Hashtbl.remove t.ord n;
     t.sorted_edges <- None;
     t.on_retire n;
     List.iter (settle t) (succs t n)
   end
 
-(* An edge into a retired node (never from the scheduler, whose edges
-   always target a live process) brings it back: it takes a fresh
-   position at the end of the order and its out-edges are re-inserted
-   through the order maintenance. *)
-let rec unretire t j =
-  Hashtbl.remove t.retired j;
-  t.retired_rev <- List.filter (fun n -> n <> j) t.retired_rev;
-  ensure_node t j;
-  let out = neighbours t.succ j in
-  List.iter (fun k -> remove_dag t j k) out;
-  List.iter (fun k -> add_edge t j k) out
-
-and add_edge t i j =
+let add_edge t i j =
   (* aborted processes left no effects and never rejoin, and a retired
      source can no longer be ordered after anything unretired: such
      edges are never stored *)
@@ -230,27 +178,11 @@ and add_edge t i j =
     && not (mem_edge t i j)
   then begin
     t.sorted_edges <- None;
-    if retired t j then unretire t j;
-    ensure_node t i;
-    ensure_node t j;
-    let oi = ord t i and oj = ord t j in
-    if oi < oj then insert_dag t i j
-    else
-      (* the edge runs against the order: discover the affected region
-         (forward from j, backward from i, both bounded by [oj, oi]) and
-         reallocate its index pool so the region becomes order-consistent *)
-      match discover_forward t ~target:i ~ub:oi j with
-      | exception Cycle -> Hashtbl.replace t.back (i, j) ()
-      | fwd ->
-          let bwd = discover_backward t ~lb:oj i in
-          let by_ord seen =
-            Hashtbl.fold (fun n () acc -> n :: acc) seen []
-            |> List.sort (fun a b -> compare (ord t a) (ord t b))
-          in
-          let chain = by_ord bwd @ by_ord fwd in
-          let pool = List.sort compare (List.map (ord t) chain) in
-          List.iter2 (fun n o -> Hashtbl.replace t.ord n o) chain pool;
-          insert_dag t i j
+    (* an edge into a retired node (never from the scheduler, whose
+       edges always target a live process) brings it back; it has no
+       in-edges, so its stored out-edges cannot close a cycle *)
+    Hashtbl.remove t.retired j;
+    if dag_reaches t j i then Hashtbl.replace t.back (i, j) () else insert_dag t i j
   end
 
 let mark_committed t pid =
@@ -267,9 +199,7 @@ let mark_aborted t pid =
   (* with edges gone, parked cycle-closing edges may have become
      insertable: retry them all (the table is almost always empty) *)
   if Hashtbl.length t.back > 0 then begin
-    let parked =
-      Hashtbl.fold (fun e () acc -> e :: acc) t.back [] |> List.sort compare
-    in
+    let parked = parked t in
     Hashtbl.reset t.back;
     List.iter (fun (i, j) -> if i <> pid && j <> pid then add_edge t i j) parked
   end;
@@ -344,8 +274,10 @@ let edges t =
 
 (* Committed processes stay in the cycle check: their serialization
    position is fixed, so a cycle through them is just as fatal.  Only
-   aborted processes (whose effects were compensated) drop out. *)
-let would_cycle_reference t extra =
+   aborted processes (whose effects were compensated) drop out.  A
+   parked edge always lies on a stored cycle, so a non-empty [back]
+   answers [true]. *)
+let would_cycle t extra =
   let gone pid = status t pid = Aborted in
   let es =
     List.filter
@@ -353,62 +285,6 @@ let would_cycle_reference t extra =
       (extra @ all_edges_unsorted t)
   in
   Tpm_core.Digraph.has_cycle (Tpm_core.Digraph.make ~nodes:[] ~edges:es)
-
-let would_cycle_incremental t extra =
-  (* a parked edge means the stored graph is already cyclic *)
-  if Hashtbl.length t.back > 0 then true
-  else begin
-    let gone pid = status t pid = Aborted in
-    let extra =
-      List.filter
-        (fun (i, j) -> i <> j && (not (gone i)) && (not (gone j)) && not (dag_mem t i j))
-        extra
-    in
-    (* unpositioned nodes — retired or unknown — have no stored in-edge,
-       so they may go first *)
-    let ordv = ord_or_min t in
-    if List.for_all (fun (i, j) -> ordv i < ordv j) extra then
-      (* every extra edge runs forward in the maintained order, and so
-         does every stored edge: the union is acyclic *)
-      false
-    else begin
-      (* any cycle must traverse an order-violating extra edge (stored
-         and forward extra edges strictly increase ord): 3-color DFS over
-         DAG ∪ extra from the tails of the violating edges *)
-      let xsucc = Hashtbl.create 8 in
-      List.iter
-        (fun (i, j) ->
-          Hashtbl.replace xsucc i (j :: Option.value ~default:[] (Hashtbl.find_opt xsucc i)))
-        extra;
-      let color = Hashtbl.create 16 in
-      let exception Found in
-      let rec visit n =
-        match Hashtbl.find_opt color n with
-        | Some `Gray -> raise Found
-        | Some `Black -> ()
-        | None ->
-            Hashtbl.replace color n `Gray;
-            (match Hashtbl.find_opt t.succ n with
-            | Some h -> Hashtbl.iter (fun k () -> visit k) h
-            | None -> ());
-            List.iter visit (Option.value ~default:[] (Hashtbl.find_opt xsucc n));
-            Hashtbl.replace color n `Black
-      in
-      try
-        List.iter (fun (i, j) -> if ordv i >= ordv j then visit i) extra;
-        false
-      with Found -> true
-    end
-  end
-
-let would_cycle t extra =
-  let v = would_cycle_incremental t extra in
-  if t.check then begin
-    let r = would_cycle_reference t extra in
-    if v <> r then
-      failwith (Printf.sprintf "Deps.would_cycle: incremental=%b reference=%b" v r)
-  end;
-  v
 
 (* Reverse reachability from [pid] over exactly the edges the reference
    implementation kept: (i, j) participates iff [live i || j = pid] —
@@ -479,8 +355,8 @@ let uncommitted_preds t pid =
    Such an edge records a serialization-order violation that is now pure
    history: a terminated process never gains in-edges again (admission and
    completion edges always target a live process), so no *new* cycle can
-   route through it — but while parked it forces [would_cycle] to answer
-   [true] for every admission, wedging a long-lived server.  Edges with a
+   route through it — but while parked it is a cycle in every
+   admission's cycle check, wedging a long-lived server.  Edges with a
    live endpoint are kept: they still constrain future admissions.
    (Aborted endpoints never reach here — [mark_aborted] already drops
    their edges.)  A dropped edge's target may retire now.  Returns the
@@ -501,20 +377,3 @@ let compact t =
     end;
     List.length victims
   end
-
-let live_succs t pid = List.filter (live t) (succs t pid) |> List.sort_uniq compare
-
-(* retired committed processes in retirement order — each retired after
-   all its predecessors, and nothing unretired precedes one — then the
-   maintained order over the unretired rest *)
-let order t =
-  let retired_part =
-    List.fold_left
-      (fun acc n -> if status t n = Committed then n :: acc else acc)
-      [] t.retired_rev
-  in
-  retired_part
-  @ (Hashtbl.fold
-       (fun n o acc -> if status t n <> Aborted then (o, n) :: acc else acc)
-       t.ord []
-    |> List.sort compare |> List.map snd)

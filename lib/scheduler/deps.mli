@@ -7,14 +7,14 @@
     predecessors of a process to decide when its non-compensatable
     activities may commit (Lemma 1).
 
-    The implementation maintains a dynamic topological order
-    (Pearce–Kelly): edge inserts are O(1) amortized and {!would_cycle}
-    usually answers from the order alone, without graph traversal.
+    The graph keeps no topological order of its own: the scheduler's
+    admission maintains the only one, over its combined graph (these
+    edges ∪ the latent edges of the completed schedule, DESIGN §8).
 
     A terminated process whose predecessors have all retired {e retires}
-    (DESIGN §8): it leaves the order, its in-edges are dropped, and no
-    edge from it is stored again.  The stored graph therefore tracks the
-    unretired processes, not the history. *)
+    (DESIGN §8): its in-edges are dropped, and no edge from it is stored
+    again.  The stored graph therefore tracks the unretired processes,
+    not the history. *)
 
 type t
 
@@ -22,32 +22,30 @@ val create : unit -> t
 val add_process : t -> int -> unit
 
 val add_edge : t -> int -> int -> unit
-(** O(1) amortized (hash-set duplicate detection; a bounded local reorder
-    when the edge runs against the maintained order).  An edge that
-    closes a cycle — only rollback completions insert unchecked — is
-    parked and reflected by {!would_cycle} until an abort clears it.  An
-    edge from a retired or aborted source, or into an aborted target, is
-    not stored; an edge into a retired target un-retires it (the
-    scheduler never adds one). *)
+(** Stores the edge, or parks it iff its target already reaches its
+    source along stored DAG edges (one DFS from the target): an edge that
+    closes a cycle — only rollback completions insert unchecked — stays
+    parked, and makes {!would_cycle} answer [true], until an abort clears
+    it.  An edge from a retired or aborted source, or into an aborted
+    target, is not stored; an edge into a retired target un-retires it
+    (the scheduler never adds one). *)
 
 val edges : t -> (int * int) list
 (** Sorted view, memoized until the next mutation. *)
 
-val would_cycle : t -> (int * int) list -> bool
-(** Would adding all the given edges create a cycle among live
-    (uncommitted, unaborted) processes?  Fast path: every extra edge
-    running forward in the maintained topological order proves
-    acyclicity; otherwise a DFS bounded to the violating region decides. *)
+val parked : t -> (int * int) list
+(** The parked cycle-closing edges, sorted (a subset of {!edges}). *)
 
-val would_cycle_reference : t -> (int * int) list -> bool
-(** The pre-incremental oracle — rebuilds a {!Tpm_core.Digraph} from
-    scratch and runs full-graph cycle detection.  Kept as the reference
-    implementation for differential checking ({!set_check},
-    [tools/stress.exe --check-admission]). *)
+val would_cycle : t -> (int * int) list -> bool
+(** Would adding all the given edges create a cycle among unaborted
+    processes?  Rebuilds a {!Tpm_core.Digraph} from the stored and parked
+    edges plus the given ones and runs full-graph cycle detection.  Asked
+    by the [Naive_sr] baseline and the Reference admission engine; the
+    incremental admission decides on the scheduler's combined graph
+    instead. *)
 
 val set_check : t -> bool -> unit
-(** Cross-check every {!would_cycle} verdict against
-    {!would_cycle_reference} and every {!uncommitted_preds} result against
+(** Cross-check every {!uncommitted_preds} result against
     {!uncommitted_preds_reference}, failing loudly on divergence. *)
 
 val mark_committed : t -> int -> unit
@@ -89,9 +87,6 @@ val uncommitted_preds_reference : t -> int -> int list
     direct predecessor's predecessors — the oracle {!set_check} compares
     against. *)
 
-val live_succs : t -> int -> int list
-(** Live direct successors. *)
-
 val succs : t -> int -> int list
 (** Every direct successor, parked cycle-closing edges included — the
     adjacency the scheduler's combined-graph (deps ∪ latent base) DFS
@@ -104,13 +99,7 @@ val iter_succs : t -> int -> (int -> unit) -> unit
 val compact : t -> int
 (** Drop parked cycle-closing edges both of whose endpoints terminated.
     A terminated process never gains in-edges again, so such an edge can
-    no longer participate in a new cycle — but while parked it forces
-    {!would_cycle} to answer [true] for every admission.  A dropped
-    edge's target may retire.  Returns the number of edges dropped; [0] almost always (the parked table is
-    normally empty). *)
-
-val order : t -> int list
-(** A serialization order over non-aborted processes: retired committed
-    ones in retirement order, then the maintained topological order of
-    the rest.  Meaningful while the graph is acyclic (no parked
-    cycle-closing edges). *)
+    no longer participate in a new cycle — but while parked it is a
+    cycle in every admission's cycle check.  A dropped edge's target may
+    retire.  Returns the number of edges dropped; [0] almost always (the
+    parked table is normally empty). *)

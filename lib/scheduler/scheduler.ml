@@ -43,7 +43,8 @@ let default_backoff =
 type admission_engine =
   | Incremental
       (* interned-service bitmatrix + cached per-process service bitsets +
-         Pearce-Kelly cycle detection (the default) *)
+         cycle detection against the combined graph's maintained order
+         (the default) *)
   | Reference
       (* the pre-incremental path: string-keyed conflict tests, per-pair
          future recomputation, full-graph cycle detection.  Kept as the
@@ -195,7 +196,7 @@ type pstate = {
    service growing the conflict matrix, recovery) set [lt_full].
 
    The topological order of the combined graph (stored dependency edges
-   ∪ base latent edges) is kept as a Pearce–Kelly-style state machine:
+   ∪ base latent edges) is kept as a state machine:
    [Order_valid pos] survives edge *removals* unconditionally (removing
    an edge never invalidates a topological order) and survives additions
    that run forward in [pos]; a backward addition degrades to
@@ -312,9 +313,21 @@ let tracer_from_env () =
       Obs.Tracer.create ~sinks:[ Obs.Sink.stderr_pretty () ] ()
   | Some _ | None -> Obs.Tracer.disabled
 
-let activity_token ~pid ~act =
-  assert (act < 1_000_000);
-  (pid * 1_000_000) + act
+(* An activity token packs [(pid, act)] into one int, decoded by
+   [token / 1_000_000] and [token mod 1_000_000]; the decoding gives the
+   pair back iff every id of the process is in this range, which
+   [register] demands. *)
+let ids_in_range proc =
+  let pid = Process.pid proc in
+  0 <= pid
+  && pid < max_int / 1_000_000
+  && List.for_all
+       (fun (a : Activity.t) ->
+         let act = a.Activity.id.Activity.act in
+         0 <= act && act < 1_000_000)
+       (Process.activities proc)
+
+let activity_token ~pid ~act = (pid * 1_000_000) + act
 
 let create ?(config = default_config) ?(faults = Faults.none)
     ?(choice = Choice.passive) ?tracer ?wal_path ~spec ~rms () =
@@ -712,11 +725,6 @@ let emit t ev =
   | Schedule.Commit _ | Schedule.Abort _ | Schedule.Group_abort _ -> ()
 
 let history t = t.hist
-
-(* retired processes in retirement order, then the maintained
-   topological order of the rest (aborted processes dropped): a valid
-   serialization order at any instant *)
-let serialization_order t = Deps.order t.deps
 
 (* the enforcement layer's live per-subsystem local schedules (empty
    under the strong order) — what the composite checkers consume *)
@@ -1161,8 +1169,8 @@ let latent_endpoints lt =
       e
 
 (* combined-graph adjacency, walked live: stored dependency edges
-   (parked ones included — a parked edge is a cycle, exactly
-   [Deps.would_cycle]'s verdict) ∪ base latent edges *)
+   (parked ones included — a parked edge always lies on a stored
+   cycle) ∪ base latent edges *)
 let latent_succ_iter t lt n f =
   Deps.iter_succs t.deps n f;
   match Hashtbl.find_opt lt.lt_out n with
@@ -1621,7 +1629,7 @@ module Reference = struct
             (List.filter (fun q -> live q || q.term = Schedule.Committed) (pstates t))
         end
       in
-      if Deps.would_cycle_reference t.deps (new_edges @ latent_edges) then begin
+      if Deps.would_cycle t.deps (new_edges @ latent_edges) then begin
         let blockers =
           List.concat_map (fun (i, j) -> [ i; j ]) (new_edges @ latent_edges)
           |> List.filter (fun q -> q <> pid)
@@ -2766,6 +2774,8 @@ let register t ?(args_of = fun _ -> Value.Nil) ?(groups = []) proc =
   let pid = Process.pid proc in
   if Hashtbl.mem t.procs pid then
     invalid_arg (Printf.sprintf "Scheduler.submit: duplicate process %d" pid);
+  if not (ids_in_range proc) then
+    invalid_arg (Printf.sprintf "Scheduler.submit: process %d has an id out of range" pid);
   Compose.validate_exn proc groups;
   List.iter (fun a -> ignore (rm_of t a)) (Process.activities proc);
   (* intern every service of the process once, so the hot admission path

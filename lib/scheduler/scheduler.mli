@@ -74,7 +74,9 @@ val default_backoff : backoff
 type admission_engine =
   | Incremental
       (** interned services, conflict bitmatrix, cached future/occurrence
-          bitsets, Pearce–Kelly incremental cycle detection (default) *)
+          bitsets, cycle detection against the maintained topological
+          order of the combined graph (dependency ∪ latent edges;
+          default) *)
   | Reference
       (** the pre-optimization path: string conflict tests over the raw
           spec and full-graph cycle checks — the oracle and the "old" arm
@@ -82,7 +84,8 @@ type admission_engine =
   | Checked
       (** run both on every admission and [failwith] on any divergence in
           the decision or the recorded dependency edges (differential
-          testing; also cross-checks every [Deps.would_cycle] verdict) *)
+          testing; also cross-checks every [Deps.uncommitted_preds]
+          walk against its from-scratch oracle) *)
 
 (** How conflicting activities of different processes are ordered in
     their subsystems (Section 3.6). *)
@@ -205,9 +208,15 @@ val submit :
     claimed) atomically at the first member's admission; the remaining
     members then dispatch without further parent-level admission, driven
     by the process's own precedence order (the inner engine).
-    @raise Invalid_argument on duplicate pids, activities whose
-    subsystem is unknown, or an ill-formed grouping
-    ({!Tpm_core.Compose.validate}). *)
+    @raise Invalid_argument on duplicate pids, ids outside
+    {!ids_in_range}, activities whose subsystem is unknown, or an
+    ill-formed grouping ({!Tpm_core.Compose.validate}). *)
+
+val ids_in_range : Tpm_core.Process.t -> bool
+(** The pid lies in [\[0, max_int / 1_000_000)] and every activity id in
+    [\[0, 1_000_000)] — the range in which the scheduler's packed
+    activity tokens decode back to the same pair.  The server rejects a
+    submission outside it at the front door. *)
 
 val request_abort : t -> ?at:float -> int -> unit
 (** External abort [A_i]: the process terminates through its completion. *)
@@ -249,12 +258,6 @@ val set_subsystem_observer : t -> (subsystem:string -> ok:bool -> unit) -> unit
 val history : t -> Tpm_core.Schedule.t
 (** The schedule emitted so far: committed occurrences, compensations,
     completion activities, and terminal events. *)
-
-val serialization_order : t -> int list
-(** A valid serialization order at any instant (aborted processes
-    excluded): retired processes in retirement order, then the
-    maintained Pearce–Kelly order of the rest, read off without a graph
-    traversal. *)
 
 val status : t -> int -> Tpm_core.Schedule.status
 val finished : t -> bool

@@ -38,6 +38,7 @@ type reject_reason =
   | Draining
   | Duplicate_pid
   | Unknown_subsystem of string
+  | Id_out_of_range
 
 let reason_label = function
   | Window_full -> "window-full"
@@ -48,6 +49,7 @@ let reason_label = function
   | Draining -> "draining"
   | Duplicate_pid -> "duplicate-pid"
   | Unknown_subsystem ss -> "unknown-subsystem:" ^ ss
+  | Id_out_of_range -> "id-out-of-range"
 
 type decision =
   | Admitted
@@ -465,6 +467,7 @@ let offer t ?deadline proc =
   let decision =
     if t.draining || crashed t then reject t pid Draining
     else if Hashtbl.mem t.seen pid then reject t pid Duplicate_pid
+    else if not (Scheduler.ids_in_range proc) then reject t pid Id_out_of_range
     else
       match unknown_subsystem t proc with
       | Some ss -> reject t pid (Unknown_subsystem ss)

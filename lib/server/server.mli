@@ -49,6 +49,10 @@ type reject_reason =
       (** the submission names a subsystem the server does not run
           (malformed/unroutable input — caught at the front door so it can
           never detonate inside a simulation event) *)
+  | Id_out_of_range
+      (** the pid or an activity id lies outside
+          {!Tpm_scheduler.Scheduler.ids_in_range}: the scheduler could
+          not tell its activities apart *)
 
 val reason_label : reject_reason -> string
 

@@ -314,18 +314,22 @@ let test_group_admits_as_unit () =
   check Alcotest.int "no subprocess admission without groups" 0
     (Metrics.count (Scheduler.metrics t_flat) "subprocess_admissions");
   (* the claimed footprint orders P2 after the whole subprocess... *)
-  (match Scheduler.serialization_order t_grp with
-  | [ a; b ] ->
+  (match Criteria.serialization_order (Scheduler.history t_grp) with
+  | Some [ a; b ] ->
       check Alcotest.int "subprocess first" 1 a;
       check Alcotest.int "outsider second" 2 b
-  | o -> Alcotest.failf "unexpected serialization order (%d procs)" (List.length o));
+  | o ->
+      Alcotest.failf "unexpected serialization order (%d procs)"
+        (List.length (Option.value ~default:[] o)));
   (* ...whereas without the group the outsider interleaves ahead of the
      not-yet-occurred second member: unit admission changed the order *)
-  match Scheduler.serialization_order t_flat with
-  | [ a; b ] ->
+  match Criteria.serialization_order (Scheduler.history t_flat) with
+  | Some [ a; b ] ->
       check Alcotest.int "outsider slips ahead without the group" 2 a;
       check Alcotest.int "flat process second" 1 b
-  | o -> Alcotest.failf "unexpected flat serialization order (%d procs)" (List.length o)
+  | o ->
+      Alcotest.failf "unexpected flat serialization order (%d procs)"
+        (List.length (Option.value ~default:[] o))
 
 let test_group_validation () =
   let p =

@@ -202,7 +202,9 @@ let test_sequential_server () =
        (List.filter
           (fun pid -> Scheduler.status s pid = Schedule.Committed)
           (List.init n (fun i -> i + 1))))
-    (List.length (Scheduler.serialization_order s))
+    (match Criteria.serialization_order (Scheduler.history s) with
+    | Some order -> List.length order
+    | None -> Alcotest.fail "the history is not serializable")
 
 let suite =
   [

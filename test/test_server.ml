@@ -480,6 +480,40 @@ let test_wire_protocol () =
   check Alcotest.bool "counters line" true (contains "counters offered=2 admitted=2" reply);
   finish_accounting srv
 
+(* Ids the scheduler cannot pack into an activity token — an activity
+   id of a million or more, a negative id, a pid at or past
+   [max_int / 1_000_000] — are shed at the front door with a typed
+   reason instead of detonating inside a simulation event, and the same
+   connection then serves the next valid document. *)
+let test_wire_ids_out_of_range () =
+  let srv = make_server ~policy:Server.Reject ~max_live:8 () in
+  let hostile =
+    [
+      (1, 1000001);
+      (2, -3);
+      (-1, 1);
+      (max_int / 1_000_000, 1);
+    ]
+  in
+  let doc =
+    String.concat ""
+      (List.map
+         (fun (pid, act) -> Printf.sprintf "process %d {\n  %d svc1 retriable @ss0\n}\n.\n" pid act)
+         hostile)
+    ^ "process 5 {\n  1 svc1 retriable @ss1\n}\n.\n"
+  in
+  let reply = converse srv doc in
+  List.iter
+    (fun (pid, _) ->
+      let line = Printf.sprintf "decision %d reject:id-out-of-range" pid in
+      check Alcotest.bool line true (contains line reply))
+    hostile;
+  check Alcotest.bool "next document admitted" true (contains "decision 5 admit" reply);
+  check Alcotest.bool "next document committed" true (contains "status 5 committed" reply);
+  check Alcotest.bool "counters after the rejects" true
+    (contains "counters offered=5 admitted=1 rejected=4" reply);
+  finish_accounting srv
+
 let suite =
   [
     Alcotest.test_case "sequential pivots skip 2PC" `Quick test_sequential_pivots_skip_2pc;
@@ -500,4 +534,6 @@ let suite =
     Alcotest.test_case "crash mid-serve recovers" `Quick test_crash_mid_serve_recovers;
     Alcotest.test_case "lang front-end" `Quick test_offer_text;
     Alcotest.test_case "wire protocol" `Quick test_wire_protocol;
+    Alcotest.test_case "wire protocol sheds out-of-range ids" `Quick
+      test_wire_ids_out_of_range;
   ]
