@@ -526,8 +526,41 @@ let test_jitter_is_deterministic () =
   check (Alcotest.float 0.0) "same makespan" t1 t2;
   check Alcotest.int "same event count" e1 e2
 
+(* A bad submission raises from [submit] itself, before any event is
+   scheduled, and leaves the scheduler usable. *)
+let test_submit_rejects_bad_process () =
+  let t, _ = cim_setup "p1" in
+  let valid = Cim.construction ~pid:1 ~part:"p1" in
+  let a1 = Process.find valid 1 in
+  let single ~pid ~act ~subsystem =
+    Process.make_exn ~pid
+      ~activities:
+        [
+          Activity.make ~proc:pid ~act ~service:a1.Activity.service ~kind:Activity.Compensatable
+            ~subsystem ();
+        ]
+      ~prec:[] ~pref:[]
+  in
+  let raises name f =
+    match f () with
+    | () -> Alcotest.failf "%s: submit returned" name
+    | exception Invalid_argument _ -> ()
+  in
+  raises "act out of range" (fun () ->
+      Scheduler.submit t (single ~pid:2 ~act:1_000_001 ~subsystem:a1.Activity.subsystem));
+  raises "unknown subsystem" (fun () ->
+      Scheduler.submit t (single ~pid:3 ~act:1 ~subsystem:"nowhere"));
+  (* activity 2 lies on the path 1 -> 2 -> 3 but outside the group *)
+  raises "ill-formed grouping" (fun () ->
+      Scheduler.submit t ~groups:[ { Compose.gname = "g"; members = [ 1; 3 ] } ] valid);
+  Scheduler.submit t ~args_of:Cim.args_of valid;
+  Scheduler.run t;
+  check Alcotest.bool "finished" true (Scheduler.finished t);
+  check Alcotest.bool "valid process committed" true (Scheduler.status t 1 = Schedule.Committed)
+
 let fault_suite =
   [
+    Alcotest.test_case "submit raises on a bad process" `Quick test_submit_rejects_bad_process;
     Alcotest.test_case "outage over the pivot deflects to the alternative" `Quick
       test_outage_deflects_pivot;
     Alcotest.test_case "outage wait-out ablation (no degradation)" `Quick
