@@ -1,12 +1,11 @@
 (* Dependency graph.
 
-   One caller inserts edges without asking first: completion activities
-   of a rolling-back process ([apply_rollback_item]) may legitimately
-   close a cycle — the victim is already aborting, and its abort event
-   will erase the edges.  [add_edge] parks such an edge in [back] — iff
-   its target already reaches its source along stored DAG edges — so the
-   DAG part stays acyclic; parked edges are retried whenever an abort
-   removes edges.  While [back] is non-empty the graph *is* cyclic.
+   Every accepted edge is stored in [succ]/[pred].  One caller inserts
+   edges without asking first: completion activities of a rolling-back
+   process ([apply_rollback_item]) may close a cycle, and the stored
+   graph then *is* cyclic.  An abort that removes an edge of the cycle
+   breaks it; a forward completion (F-REC) commits, so its cycle stays
+   and every later [would_cycle] answers [true] (ROADMAP item 1).
 
    The graph keeps no topological order of its own: the scheduler's
    admission maintains one over its combined graph (these edges ∪ the
@@ -32,9 +31,8 @@ type status =
 
 type t = {
   status : (int, status) Hashtbl.t;
-  succ : (int, (int, unit) Hashtbl.t) Hashtbl.t;  (* DAG adjacency *)
+  succ : (int, (int, unit) Hashtbl.t) Hashtbl.t;
   pred : (int, (int, unit) Hashtbl.t) Hashtbl.t;
-  back : (int * int, unit) Hashtbl.t;  (* parked cycle-closing edges *)
   retired : (int, unit) Hashtbl.t;
   held : (int, unit) Hashtbl.t;  (* terminated, kept unretired by the caller *)
   mutable on_retire : int -> unit;
@@ -47,7 +45,6 @@ let create () =
     status = Hashtbl.create 16;
     succ = Hashtbl.create 16;
     pred = Hashtbl.create 16;
-    back = Hashtbl.create 4;
     retired = Hashtbl.create 16;
     held = Hashtbl.create 4;
     on_retire = ignore;
@@ -74,66 +71,30 @@ let status t pid = Option.value ~default:Live (Hashtbl.find_opt t.status pid)
 let live t pid = status t pid = Live
 let committed t pid = status t pid = Committed
 
-let dag_mem t i j =
+let mem_edge t i j =
   match Hashtbl.find_opt t.succ i with Some h -> Hashtbl.mem h j | None -> false
 
-let mem_edge t i j = dag_mem t i j || Hashtbl.mem t.back (i, j)
-let parked t = List.sort compare (Hashtbl.fold (fun e () acc -> e :: acc) t.back [])
+let iter_adj tbl n f =
+  match Hashtbl.find_opt tbl n with
+  | Some h -> Hashtbl.iter (fun k () -> f k) h
+  | None -> ()
 
-let insert_dag t i j =
-  Hashtbl.replace (adj t.succ i) j ();
-  Hashtbl.replace (adj t.pred j) i ()
-
-(* does [a] reach [b] along stored DAG edges? *)
-let dag_reaches t a b =
-  let seen = Hashtbl.create 8 in
-  let exception Found in
-  let rec go n =
-    match Hashtbl.find_opt t.succ n with
-    | None -> ()
-    | Some h ->
-        Hashtbl.iter
-          (fun k () ->
-            if k = b then raise Found;
-            if not (Hashtbl.mem seen k) then begin
-              Hashtbl.replace seen k ();
-              go k
-            end)
-          h
-  in
-  match go a with () -> false | exception Found -> true
-
-(* every stored predecessor / successor, parked cycle-closing edges
-   included *)
-let iter_preds t j f =
-  (match Hashtbl.find_opt t.pred j with
-  | Some h -> Hashtbl.iter (fun i () -> f i) h
-  | None -> ());
-  if Hashtbl.length t.back > 0 then
-    Hashtbl.iter (fun (bi, bj) () -> if bj = j then f bi) t.back
+let iter_preds t j f = iter_adj t.pred j f
 
 (* the scheduler's combined-graph (deps ∪ latent base) DFS walks the live
    tables instead of copying the adjacency *)
-let iter_succs t pid f =
-  (match Hashtbl.find_opt t.succ pid with
-  | Some h -> Hashtbl.iter (fun j () -> f j) h
-  | None -> ());
-  if Hashtbl.length t.back > 0 then
-    Hashtbl.iter (fun (bi, bj) () -> if bi = pid then f bj) t.back
+let iter_succs t pid f = iter_adj t.succ pid f
 
-let succs t pid =
-  let l = ref [] in
-  iter_succs t pid (fun j -> l := j :: !l);
-  !l
-
-(* the DAG neighbours of [n] in [tbl] ([t.succ] or [t.pred]) *)
+(* the neighbours of [n] in [tbl] ([t.succ] or [t.pred]) *)
 let neighbours tbl n =
   match Hashtbl.find_opt tbl n with
   | Some h -> Hashtbl.fold (fun k () l -> k :: l) h []
   | None -> []
 
-(* remove [i -> j] from the DAG tables, dropping tables left empty *)
-let remove_dag t i j =
+let succs t pid = neighbours t.succ pid
+
+(* remove [i -> j], dropping tables left empty *)
+let remove_edge t i j =
   let drop tbl a b =
     match Hashtbl.find_opt tbl a with
     | Some h ->
@@ -160,7 +121,7 @@ let rec settle t n =
     | exception Unretired -> false
   then begin
     Hashtbl.replace t.retired n ();
-    List.iter (fun i -> remove_dag t i n) (neighbours t.pred n);
+    List.iter (fun i -> remove_edge t i n) (neighbours t.pred n);
     t.sorted_edges <- None;
     t.on_retire n;
     List.iter (settle t) (succs t n)
@@ -179,10 +140,10 @@ let add_edge t i j =
   then begin
     t.sorted_edges <- None;
     (* an edge into a retired node (never from the scheduler, whose
-       edges always target a live process) brings it back; it has no
-       in-edges, so its stored out-edges cannot close a cycle *)
+       edges always target a live process) brings it back *)
     Hashtbl.remove t.retired j;
-    if dag_reaches t j i then Hashtbl.replace t.back (i, j) () else insert_dag t i j
+    Hashtbl.replace (adj t.succ i) j ();
+    Hashtbl.replace (adj t.pred j) i ()
   end
 
 let mark_committed t pid =
@@ -194,15 +155,8 @@ let mark_aborted t pid =
   t.sorted_edges <- None;
   let former = succs t pid in
   (* aborted processes left no effects: drop their edges *)
-  List.iter (fun k -> remove_dag t pid k) (neighbours t.succ pid);
-  List.iter (fun k -> remove_dag t k pid) (neighbours t.pred pid);
-  (* with edges gone, parked cycle-closing edges may have become
-     insertable: retry them all (the table is almost always empty) *)
-  if Hashtbl.length t.back > 0 then begin
-    let parked = parked t in
-    Hashtbl.reset t.back;
-    List.iter (fun (i, j) -> if i <> pid && j <> pid then add_edge t i j) parked
-  end;
+  List.iter (fun k -> remove_edge t pid k) (neighbours t.succ pid);
+  List.iter (fun k -> remove_edge t k pid) (neighbours t.pred pid);
   settle t pid;
   List.iter (settle t) former
 
@@ -252,17 +206,12 @@ let check_retirement t =
          (String.concat "," (List.map string_of_int want)));
   Hashtbl.iter
     (fun j _ -> if retired t j then failwith (Printf.sprintf "Deps: stored edge into retired %d" j))
-    t.pred;
-  Hashtbl.iter
-    (fun (_, j) () ->
-      if retired t j then failwith (Printf.sprintf "Deps: parked edge into retired %d" j))
-    t.back
+    t.pred
 
 let all_edges_unsorted t =
-  let acc = Hashtbl.fold (fun e () acc -> e :: acc) t.back [] in
   Hashtbl.fold
     (fun i h acc -> Hashtbl.fold (fun j () acc -> (i, j) :: acc) h acc)
-    t.succ acc
+    t.succ []
 
 let edges t =
   match t.sorted_edges with
@@ -274,9 +223,7 @@ let edges t =
 
 (* Committed processes stay in the cycle check: their serialization
    position is fixed, so a cycle through them is just as fatal.  Only
-   aborted processes (whose effects were compensated) drop out.  A
-   parked edge always lies on a stored cycle, so a non-empty [back]
-   answers [true]. *)
+   aborted processes (whose effects were compensated) drop out. *)
 let would_cycle t extra =
   let gone pid = status t pid = Aborted in
   let es =
@@ -294,24 +241,13 @@ let uncommitted_preds_reference t pid =
   let seen = Hashtbl.create 8 in
   Hashtbl.replace seen pid ();
   let acc = ref [] in
-  let preds_of j =
-    let base =
-      match Hashtbl.find_opt t.pred j with
-      | Some h -> Hashtbl.fold (fun i () l -> i :: l) h []
-      | None -> []
-    in
-    if Hashtbl.length t.back = 0 then base
-    else Hashtbl.fold (fun (bi, bj) () l -> if bj = j then bi :: l else l) t.back base
-  in
   let rec go j =
-    List.iter
-      (fun i ->
+    iter_preds t j (fun i ->
         if (live t i || j = pid) && not (Hashtbl.mem seen i) then begin
           Hashtbl.replace seen i ();
           if live t i then acc := i :: !acc;
           go i
         end)
-      (preds_of j)
   in
   go pid;
   List.sort compare !acc
@@ -350,30 +286,3 @@ let uncommitted_preds t pid =
            (String.concat "," (List.map string_of_int r)))
   end;
   v
-
-(* GC for parked cycle-closing edges both of whose endpoints terminated.
-   Such an edge records a serialization-order violation that is now pure
-   history: a terminated process never gains in-edges again (admission and
-   completion edges always target a live process), so no *new* cycle can
-   route through it — but while parked it is a cycle in every
-   admission's cycle check, wedging a long-lived server.  Edges with a
-   live endpoint are kept: they still constrain future admissions.
-   (Aborted endpoints never reach here — [mark_aborted] already drops
-   their edges.)  A dropped edge's target may retire now.  Returns the
-   number of edges dropped. *)
-let compact t =
-  if Hashtbl.length t.back = 0 then 0
-  else begin
-    let dead pid = status t pid <> Live in
-    let victims =
-      Hashtbl.fold
-        (fun (i, j) () acc -> if dead i && dead j then (i, j) :: acc else acc)
-        t.back []
-    in
-    if victims <> [] then begin
-      List.iter (fun e -> Hashtbl.remove t.back e) victims;
-      t.sorted_edges <- None;
-      List.iter (fun (_, j) -> settle t j) (List.sort compare victims)
-    end;
-    List.length victims
-  end

@@ -2,7 +2,8 @@
 
     An edge [i -> j] records that some activity of [P_i] preceded a
     conflicting activity of [P_j] in the emerging schedule.  The scheduler
-    keeps this graph acyclic (serializability), delays commits so that
+    admits no activity whose edges would close a cycle (serializability;
+    see {!add_edge} for the one unchecked insert), delays commits so that
     [C_i] precedes [C_j] along edges, and uses the uncommitted
     predecessors of a process to decide when its non-compensatable
     activities may commit (Lemma 1).
@@ -22,24 +23,21 @@ val create : unit -> t
 val add_process : t -> int -> unit
 
 val add_edge : t -> int -> int -> unit
-(** Stores the edge, or parks it iff its target already reaches its
-    source along stored DAG edges (one DFS from the target): an edge that
-    closes a cycle — only rollback completions insert unchecked — stays
-    parked, and makes {!would_cycle} answer [true], until an abort clears
-    it.  An edge from a retired or aborted source, or into an aborted
-    target, is not stored; an edge into a retired target un-retires it
-    (the scheduler never adds one). *)
+(** Stores the edge (a hash probe).  Only rollback completions insert
+    unchecked, and their edge may close a cycle: the stored graph is then
+    cyclic, and {!would_cycle} answers [true], until an abort removes an
+    edge of the cycle — a cycle among processes that all committed stays.
+    An edge from a retired or aborted source, or into an aborted target,
+    is not stored; an edge into a retired target un-retires it (the
+    scheduler never adds one). *)
 
 val edges : t -> (int * int) list
 (** Sorted view, memoized until the next mutation. *)
 
-val parked : t -> (int * int) list
-(** The parked cycle-closing edges, sorted (a subset of {!edges}). *)
-
 val would_cycle : t -> (int * int) list -> bool
 (** Would adding all the given edges create a cycle among unaborted
-    processes?  Rebuilds a {!Tpm_core.Digraph} from the stored and parked
-    edges plus the given ones and runs full-graph cycle detection.  Asked
+    processes?  Rebuilds a {!Tpm_core.Digraph} from the stored edges plus
+    the given ones and runs full-graph cycle detection.  Asked
     by the [Naive_sr] baseline and the Reference admission engine; the
     incremental admission decides on the scheduler's combined graph
     instead. *)
@@ -88,18 +86,9 @@ val uncommitted_preds_reference : t -> int -> int list
     against. *)
 
 val succs : t -> int -> int list
-(** Every direct successor, parked cycle-closing edges included — the
-    adjacency the scheduler's combined-graph (deps ∪ latent base) DFS
-    walks.  May contain duplicates; no status filter. *)
+(** Every direct successor — the adjacency the scheduler's
+    combined-graph (deps ∪ latent base) DFS walks.  No status filter. *)
 
 val iter_succs : t -> int -> (int -> unit) -> unit
 (** Allocation-free {!succs} — the admission DFS walks adjacency once per
     visited node, so it must not build a list per visit. *)
-
-val compact : t -> int
-(** Drop parked cycle-closing edges both of whose endpoints terminated.
-    A terminated process never gains in-edges again, so such an edge can
-    no longer participate in a new cycle — but while parked it is a
-    cycle in every admission's cycle check.  A dropped edge's target may
-    retire.  Returns the number of edges dropped; [0] almost always (the
-    parked table is normally empty). *)

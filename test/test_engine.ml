@@ -1,12 +1,12 @@
 (* The incremental admission engine's building blocks:
    - the compiled conflict bitmatrix agrees with the string-keyed spec
      (all pairs, self-conflicts, effect-free marks, late interning);
-   - dependency tracking ([Deps]) parks an edge exactly when a Digraph
-     oracle finds its target reaching its source along the stored DAG
-     edges, reports a cycle exactly while an edge is parked, across
-     inserts, aborts and commits; its predecessor walk (which skips
-     retired nodes) agrees with the full one, and its retired set agrees
-     with a from-scratch fixpoint;
+   - dependency tracking ([Deps]) stores every edge it accepts, and
+     reports a cycle exactly when a Digraph oracle finds one among the
+     stored edges, across checked and unchecked inserts, aborts and
+     commits; its predecessor walk (which skips retired nodes) agrees
+     with the full one, and its retired set agrees with a from-scratch
+     fixpoint;
    - the indexed [Reduction.cancel_compensation_pairs] handles a
      1000-event schedule well under a second (the old implementation
      rescanned the interval per pair, quadratically). *)
@@ -76,22 +76,19 @@ let compiled_agrees =
 (* ------------------------------------------------------------------ *)
 (* Deps *)
 
-(* [add_edge] parks an edge iff, over the DAG edges stored before the
-   insert, its target reaches its source *)
-let checked_add_edge t i j =
-  let before = Deps.edges t and parked = Deps.parked t in
-  let dag = List.filter (fun e -> not (List.mem e parked)) before in
+(* [add_edge] stores the edge unless an endpoint is aborted or the
+   source retired (a retired source keeps the out-edges it had) *)
+let checked_add_edge t ~aborted i j =
+  let accepted =
+    List.mem (i, j) (Deps.edges t) || not (aborted.(i) || aborted.(j) || Deps.retired t i)
+  in
   Deps.add_edge t i j;
-  if List.mem (i, j) (Deps.edges t) && not (List.mem (i, j) before) then begin
-    let expect = Digraph.reachable (Digraph.make ~nodes:[] ~edges:dag) j i in
-    if List.mem (i, j) (Deps.parked t) <> expect then
-      QCheck.Test.fail_reportf "edge %d->%d: parked %b, oracle reachability %b" i j
-        (not expect) expect
-  end
+  if List.mem (i, j) (Deps.edges t) <> accepted then
+    QCheck.Test.fail_reportf "edge %d->%d: stored %b, accepted %b" i j (not accepted) accepted
 
-let deps_parking_oracle =
+let deps_stored_cycle_oracle =
   QCheck.Test.make ~count:300
-    ~name:"deps: parking agrees with DAG reachability" arb_seed
+    ~name:"deps: would_cycle agrees with a cycle check over edges" arb_seed
     (fun seed ->
       let rng = Prng.create seed in
       let n = 3 + Prng.int rng 6 in
@@ -101,12 +98,17 @@ let deps_parking_oracle =
       for pid = 1 to n do
         Deps.add_process t pid
       done;
+      let aborted = Array.make (n + 1) false in
       let steps = 5 + Prng.int rng 25 in
       for _ = 1 to steps do
         let i = 1 + Prng.int rng n and j = 1 + Prng.int rng n in
         (match Prng.int rng 10 with
-        | 0 -> Deps.mark_aborted t i
-        | 1 -> Deps.mark_committed t i
+        | 0 ->
+            Deps.mark_aborted t i;
+            aborted.(i) <- true
+        | 1 ->
+            Deps.mark_committed t i;
+            aborted.(i) <- false
         | 2 -> (
             (* an edge into a committed node — the scheduler never adds
                one, but retirement must survive it (the node un-retires) *)
@@ -114,17 +116,20 @@ let deps_parking_oracle =
             | [] -> ()
             | cs ->
                 let j = List.nth cs (Prng.int rng (List.length cs)) in
-                if i <> j && not (Deps.would_cycle t [ (i, j) ]) then checked_add_edge t i j)
+                if i <> j && not (Deps.would_cycle t [ (i, j) ]) then
+                  checked_add_edge t ~aborted i j)
         | 3 ->
             (* the rollback path inserts unchecked: the edge may close a
-               cycle and park *)
-            if i <> j then checked_add_edge t i j
+               cycle *)
+            if i <> j then checked_add_edge t ~aborted i j
         | _ ->
             (* mirror the scheduler: check first, insert only safe edges *)
-            if i <> j && not (Deps.would_cycle t [ (i, j) ]) then checked_add_edge t i j);
-        if Deps.would_cycle t [] <> (Deps.parked t <> []) then
-          QCheck.Test.fail_reportf "would_cycle [] = %b with %d parked edges"
-            (Deps.would_cycle t []) (List.length (Deps.parked t));
+            if i <> j && not (Deps.would_cycle t [ (i, j) ]) then
+              checked_add_edge t ~aborted i j);
+        let cyclic = Digraph.has_cycle (Digraph.make ~nodes:[] ~edges:(Deps.edges t)) in
+        if Deps.would_cycle t [] <> cyclic then
+          QCheck.Test.fail_reportf "would_cycle [] = %b, oracle over %d edges %b"
+            (Deps.would_cycle t []) (List.length (Deps.edges t)) cyclic;
         (* every walk is cross-checked by set_check *)
         for pid = 1 to n do
           ignore (Deps.uncommitted_preds t pid)
@@ -143,11 +148,35 @@ let parked_back_edge () =
   Deps.add_edge t 3 1;
   Alcotest.(check bool) "graph reports cyclic" true (Deps.would_cycle t []);
   Alcotest.(check bool) "any batch is cyclic" true (Deps.would_cycle t [ (1, 3) ]);
-  (* aborting a participant clears the parked edge *)
+  (* aborting a participant breaks the cycle *)
   Deps.mark_aborted t 2;
   Alcotest.(check bool) "acyclic after abort" false (Deps.would_cycle t []);
-  Alcotest.(check (list (pair int int))) "surviving edge retried into the DAG"
+  Alcotest.(check (list (pair int int))) "the closing edge stays stored"
     [ (3, 1) ] (Deps.edges t)
+
+(* 1 -> 2 -> 3 -> 1, the last edge inserted unchecked, and 4 below the
+   cycle *)
+let stored_cycle_retirement () =
+  let cycle () =
+    let t = Deps.create () in
+    Deps.set_check t true;
+    List.iter (Deps.add_process t) [ 1; 2; 3; 4 ];
+    List.iter (fun (i, j) -> Deps.add_edge t i j) [ (1, 2); (2, 3); (3, 1); (3, 4) ];
+    t
+  in
+  let retired t = List.filter (Deps.retired t) [ 1; 2; 3; 4 ] in
+  let t = cycle () in
+  List.iter (Deps.mark_committed t) [ 1; 2; 3; 4 ];
+  Alcotest.(check (list int)) "a committed cycle never retires" [] (retired t);
+  Alcotest.(check bool) "and stays cyclic" true (Deps.would_cycle t []);
+  Deps.check_retirement t;
+  let t = cycle () in
+  List.iter (Deps.mark_committed t) [ 1; 3; 4 ];
+  Alcotest.(check (list int)) "nothing retires while 2 is live" [] (retired t);
+  Deps.mark_aborted t 2;
+  Alcotest.(check (list int)) "aborting 2 retires it and the rest" [ 1; 2; 3; 4 ] (retired t);
+  Alcotest.(check (list (pair int int))) "retirement dropped every edge" [] (Deps.edges t);
+  Deps.check_retirement t
 
 let deps_preds_and_succs () =
   let t = Deps.create () in
@@ -204,7 +233,7 @@ let deps_reorder_chain () =
     Deps.add_edge t i (i - 1)
   done;
   Alcotest.(check int) "every edge stored" (n - 1) (List.length (Deps.edges t));
-  Alcotest.(check (list (pair int int))) "nothing parked" [] (Deps.parked t);
+  Alcotest.(check bool) "the chain is acyclic" false (Deps.would_cycle t []);
   Alcotest.(check bool) "closing edge would cycle" true (Deps.would_cycle t [ (1, n) ])
 
 (* ------------------------------------------------------------------ *)
@@ -243,8 +272,9 @@ let reduction_1k_events () =
 let suite =
   [
     QCheck_alcotest.to_alcotest compiled_agrees;
-    QCheck_alcotest.to_alcotest deps_parking_oracle;
+    QCheck_alcotest.to_alcotest deps_stored_cycle_oracle;
     Alcotest.test_case "deps: parked cycle-closing edge" `Quick parked_back_edge;
+    Alcotest.test_case "deps: a stored cycle blocks retirement" `Quick stored_cycle_retirement;
     Alcotest.test_case "deps: preds/succs across terminals" `Quick deps_preds_and_succs;
     Alcotest.test_case "deps: retired predecessor lifecycle" `Quick retired_lifecycle;
     Alcotest.test_case "deps: adversarial reorder chain" `Quick deps_reorder_chain;

@@ -6,12 +6,10 @@
    - property: shard partitions are conflict-closed and cover the batch;
      sharded decision trajectories equal the single-engine trajectory on
      conflict-disjoint (clustered) workloads;
-   - [Deps.compact] / [Scheduler.gc_deps] for parked cycle-closing edges;
    - the routing front door: ownership, spanning-submission deflection,
      component merge after drain, shed accounting. *)
 
 open Tpm_core
-module Deps = Tpm_scheduler.Deps
 module Scheduler = Tpm_scheduler.Scheduler
 module Shard = Tpm_scheduler.Shard
 module Server = Tpm_server.Server
@@ -70,45 +68,9 @@ let latent_equiv_under_churn =
       done;
       Scheduler.run t;
       if not (Scheduler.finished t) then QCheck.Test.fail_report "did not finish";
-      ignore (Scheduler.gc_deps t);
       match Scheduler.latent_self_check t with
       | Ok () -> true
       | Error msg -> QCheck.Test.fail_reportf "final: %s" msg)
-
-(* ------------------------------------------------------------------ *)
-(* Deps.compact / gc_deps (parked cycle-closing edges) *)
-
-let deps_compact_drops_dead_parked () =
-  let t = Deps.create () in
-  List.iter (Deps.add_process t) [ 1; 2; 3 ];
-  Deps.add_edge t 1 2;
-  Deps.add_edge t 2 3;
-  (* the rollback path inserts unchecked: 3 -> 1 parks as cycle-closing *)
-  Deps.add_edge t 3 1;
-  Alcotest.(check bool) "parked edge wedges admission" true (Deps.would_cycle t []);
-  Alcotest.(check int) "live endpoints: nothing compacted" 0 (Deps.compact t);
-  Alcotest.(check bool) "still wedged" true (Deps.would_cycle t []);
-  Deps.mark_committed t 3;
-  Alcotest.(check int) "one live endpoint: still kept" 0 (Deps.compact t);
-  Deps.mark_committed t 1;
-  Alcotest.(check int) "both endpoints terminated: dropped" 1 (Deps.compact t);
-  Alcotest.(check bool) "admission unwedged" false (Deps.would_cycle t []);
-  Alcotest.(check int) "idempotent" 0 (Deps.compact t)
-
-let gc_deps_on_finished_run () =
-  let rms = Generator.rms small_params ~seed:3 () in
-  let spec = Generator.spec ~seed:7 small_params in
-  let t = Scheduler.create ~spec ~rms () in
-  List.iteri
-    (fun i p -> Scheduler.submit t ~at:(0.5 *. float_of_int i) p)
-    (Generator.batch ~seed:21 small_params ~n:6);
-  Scheduler.run t;
-  Alcotest.(check bool) "finished" true (Scheduler.finished t);
-  (* fault-free runs park nothing; the call must be a safe no-op *)
-  Alcotest.(check int) "nothing parked" 0 (Scheduler.gc_deps t);
-  match Scheduler.latent_self_check t with
-  | Ok () -> ()
-  | Error msg -> Alcotest.failf "latent base corrupted by gc: %s" msg
 
 (* ------------------------------------------------------------------ *)
 (* Partition properties *)
@@ -399,10 +361,6 @@ let router_parallel_run () =
 let suite =
   [
     QCheck_alcotest.to_alcotest latent_equiv_under_churn;
-    Alcotest.test_case "deps: compact drops dead parked edges" `Quick
-      deps_compact_drops_dead_parked;
-    Alcotest.test_case "scheduler: gc_deps is a safe no-op when clean" `Quick
-      gc_deps_on_finished_run;
     QCheck_alcotest.to_alcotest partition_is_conflict_closed;
     QCheck_alcotest.to_alcotest shard_equivalence;
     Alcotest.test_case "shards off: bit-identical to the plain loop" `Quick

@@ -560,7 +560,6 @@ let churn_stress () =
              incr failures;
              Format.printf "%s EXCEPTION %s@." (repro ()) (Printexc.to_string e);
              dump_forensics t);
-          ignore (Scheduler.gc_deps t);
           if !inject_failure && !runs = 1 then inject_leak rms procs;
           judge failures ~forensics:(fun () -> dump_forensics t) (repro ())
             (Oracle.run t
