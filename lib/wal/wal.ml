@@ -586,22 +586,17 @@ let record_pids = function
   | Ckpt_begin _ | Ckpt_end _ | Kv_write _ | Dirty_pages _ -> []
 
 let compact records =
-  (* The last *complete* checkpoint decides the cut: its [Ckpt_end]
-     cuts at the matching [Ckpt_begin] — records appended while the
-     checkpoint was being taken sit inside the span and must survive
-     compaction.  A dangling [Ckpt_end] with no surviving begin cuts at
-     its own position. *)
-  let begins = Hashtbl.create 4 in
+  (* The last [Ckpt_end] decides the cut: every record it makes
+     redundant — those of the processes it names as closed, older
+     checkpoint records and [Dirty_pages] snapshots — lies at or before
+     it.  Records the span's window logged for processes still open
+     survive wherever they appear. *)
   let last =
     List.fold_left
       (fun (i, acc) r ->
         let acc =
           match r with
-          | Ckpt_begin { ckpt } ->
-              Hashtbl.replace begins ckpt i;
-              acc
-          | Ckpt_end { ckpt; committed; aborted } ->
-              Some (Option.value ~default:i (Hashtbl.find_opt begins ckpt), committed @ aborted)
+          | Ckpt_end { committed; aborted; _ } -> Some (i, committed @ aborted)
           | _ -> acc
         in
         (i + 1, acc))
@@ -618,13 +613,12 @@ let compact records =
       List.filteri
         (fun i r ->
           match r with
-          (* [Dirty_pages] describes the buffer pool at the instant it was
-             logged; only the latest one matters and it rides with the
-             checkpoint that emitted it, so stale ones compact away like
-             the checkpoint records.  [Kv_write] falls to the default
-             branch: its pid set is empty, so it is always kept — page
-             redo needs positional LSNs, which only the uncompacted log
-             preserves (see the [compact] doc). *)
+          (* [Dirty_pages] only bounds page redo, which never reads a
+             compacted log (see the [compact] doc): like the checkpoint
+             records, every one before the cut goes.  [Kv_write] falls
+             to the default branch: its pid set is empty, so it is
+             always kept — page redo needs positional LSNs, which only
+             the uncompacted log preserves. *)
           | Ckpt_begin _ | Ckpt_end _ | Dirty_pages _ -> i >= cut
           | _ ->
               i > cut

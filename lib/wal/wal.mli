@@ -39,8 +39,8 @@ type record =
   | Abort_requested of int
   | Process_aborted of int  (** backward recovery completed: no effects remain *)
   | Ckpt_begin of { ckpt : int }
-      (** checkpoint [ckpt] opened: records until the matching
-          {!Ckpt_end} belong to the span and survive compaction *)
+      (** checkpoint [ckpt] opened: the workload keeps logging until
+          the matching {!Ckpt_end} seals the span *)
   | Ckpt_end of {
       ckpt : int;
       committed : int list;
@@ -238,15 +238,14 @@ val record_pids : record -> int list
     records). *)
 
 val compact : record list -> record list
-(** Drops every record that the last {e complete} checkpoint makes
-    redundant: its [Ckpt_end] cuts at the matching [Ckpt_begin], so
-    records inside the span survive (a [Ckpt_end] whose begin is gone
-    cuts at its own position).  Records of processes the checkpoint did
-    not close are kept wherever they appear.  {!Recovery.analyze} yields
-    the same plan on the compacted log.
+(** Drops every record that the last [Ckpt_end] makes redundant: the
+    records before it of the processes it names as closed, and every
+    checkpoint and [Dirty_pages] record before it (the span's
+    [Ckpt_begin] included).  Records of processes the checkpoint did not
+    close are kept wherever they appear, inside the span's window too.
+    {!Recovery.analyze} yields the same plan on the compacted log.
 
-    Page-store records: stale [Dirty_pages] snapshots compact away with
-    the checkpoint records; [Kv_write] records are always kept.
+    Page-store records: [Kv_write] records are always kept.
     Note that compaction renumbers positions, while page LSNs name
     positions in the {e uncompacted} log — {!Recovery.kv_redo} must run
     against the log as loaded from disk, never a compacted copy. *)
