@@ -997,88 +997,19 @@ let section_p11 ?(quick = false) ?json () =
       Format.printf "@.wrote %s@." path);
   speedups
 
-(* --profile-admission: break the incremental admission path down into
-   its maintenance components (latent-base rebuilds vs. incremental
-   patches vs. topological-order recomputation) so optimization targets
-   the measured hotspot instead of the suspected one.  The scheduler
-   emits these series whenever [admission_clock] is set. *)
-let p11_profile ~scales () =
-  let params =
-    {
-      Generator.default_params with
-      services = 12;
-      conflict_density = 0.25;
-      activities_min = 3;
-      activities_max = 6;
-    }
-  in
-  let seed = 7 in
-  Format.printf "admission-path breakdown (incremental engine, in-run):@.";
-  let rows =
-    List.map
-      (fun n ->
-        let rms = Generator.rms params ~seed () in
-        let spec = Generator.spec params in
-        let config =
-          {
-            Scheduler.default_config with
-            seed;
-            admission_clock = Some Unix.gettimeofday;
-          }
-        in
-        let t = Scheduler.create ~config ~spec ~rms () in
-        List.iteri
-          (fun i p -> Scheduler.submit t ~at:(0.3 *. float_of_int i) p)
-          (Generator.batch ~seed:(seed * 131) params ~n);
-        let w0 = Unix.gettimeofday () in
-        Scheduler.run ~until:1e6 t;
-        let wall = Unix.gettimeofday () -. w0 in
-        let m = Scheduler.metrics t in
-        let total name = Metrics.total m name in
-        let cnt name = Metrics.count m name in
-        Printf.eprintf "  [p11] profile n=%d: %.1fs wall\n%!" n wall;
-        [
-          string_of_int n;
-          string_of_int (cnt "admissions");
-          f2 (1e6 *. Metrics.mean m "admission_time");
-          f2 (total "admission_time");
-          Printf.sprintf "%s/%.2fs" (string_of_int (cnt "latent_rebuilds"))
-            (total "latent_rebuild_s");
-          Printf.sprintf "%s/%.2fs" (string_of_int (cnt "latent_patches"))
-            (total "latent_patch_s");
-          Printf.sprintf "%s/%.2fs" (string_of_int (cnt "latent_order_rebuilds"))
-            (total "latent_order_s");
-          f1 (Metrics.mean m "latent_dirty");
-          Printf.sprintf "%d/%d" (cnt "latent_probe_fast") (cnt "latent_probe_dfs");
-          f1 (Metrics.mean m "latent_dfs_nodes");
-          f2 wall;
-        ])
-      scales
-  in
-  print_table
-    [ "procs"; "admissions"; "mean us"; "adm total s"; "rebuilds"; "patches";
-      "order rebuilds"; "mean dirty"; "fast/dfs"; "dfs nodes"; "wall s" ]
-    rows
-
 let p11_main args =
   let quick = ref false in
   let json = ref None in
   let min_throughput = ref None in
-  let profile = ref false in
   let rec parse = function
     | [] -> ()
     | "--quick" :: rest -> quick := true; parse rest
     | "--json" :: path :: rest -> json := Some path; parse rest
     | "--min-throughput" :: x :: rest ->
         min_throughput := Some (float_of_string x); parse rest
-    | "--profile-admission" :: rest -> profile := true; parse rest
     | arg :: _ -> failwith (Printf.sprintf "p11: unknown argument %S" arg)
   in
   parse args;
-  if !profile then begin
-    p11_profile ~scales:(if !quick then [ 16; 32 ] else [ 32; 64; 128 ]) ();
-    exit 0
-  end;
   let speedups = section_p11 ~quick:!quick ?json:!json () in
   match !min_throughput with
   | None -> ()
