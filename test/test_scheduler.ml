@@ -216,6 +216,30 @@ let test_external_abort_f_rec_commits_forward () =
   check Alcotest.bool "forward path executed" true
     (Store.get (Rm.store docrepo) "techdoc:boiler" <> Value.Nil)
 
+(* An abort request is honoured whenever it arrives.  With the test
+   failing every attempt, construction switches to its alternative
+   branch at vt 50.5: pdm_entry is compensated until 51.5.  A request in
+   that window (50.75, 51.25) waits for the switch and then aborts the
+   process, which is B-REC on the alternative; one after it (51.75) finds
+   the process running again.  Either way it ends aborted. *)
+let test_abort_during_branch_switch () =
+  List.iter
+    (fun at ->
+      let t, rms =
+        cim_setup ~fail_prob:(fun s -> if s = "test:boiler" then 1.0 else 0.0) "boiler"
+      in
+      Scheduler.submit t ~args_of:Cim.args_of (Cim.construction ~pid:1 ~part:"boiler");
+      Scheduler.request_abort t ~at 1;
+      Scheduler.run t;
+      let what = Printf.sprintf "request at %.2f" at in
+      check Alcotest.bool (what ^ ": aborted") true (Scheduler.status t 1 = Schedule.Aborted);
+      check Alcotest.int (what ^ ": one abort request") 1
+        (Tpm_sim.Metrics.count (Scheduler.metrics t) "abort_requests");
+      check Alcotest.bool (what ^ ": CAD drawing gone") true
+        (Store.get (Rm.store (find_rm rms "cad")) "drawing:boiler" = Value.Nil);
+      check Alcotest.bool (what ^ ": history PRED") true (Criteria.pred (Scheduler.history t)))
+    [ 50.75; 51.25; 51.75 ]
+
 let test_random_workload_pred () =
   (* a mixed random workload must terminate with a legal PRED history *)
   let params = { Generator.default_params with services = 8; conflict_density = 0.3 } in
@@ -260,6 +284,7 @@ let suite =
     Alcotest.test_case "stall resolution via victim abort" `Quick test_stall_resolution;
     Alcotest.test_case "external abort in B-REC" `Quick test_external_abort_b_rec;
     Alcotest.test_case "external abort in F-REC" `Quick test_external_abort_f_rec_commits_forward;
+    Alcotest.test_case "abort during a branch switch" `Quick test_abort_during_branch_switch;
     Alcotest.test_case "random workload is PRED" `Quick test_random_workload_pred;
     Alcotest.test_case "random workload with failures" `Quick test_random_workload_with_failures;
   ]
