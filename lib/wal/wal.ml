@@ -73,13 +73,18 @@ type record =
      and page redo rebuilds the store from what is durable.  (If a
      WAL-rule sync made some of the writes durable first, the image is
      the one a crash just after those writes leaves under any policy.)
-   [Dirty_pages] keeps forcing: it rides with checkpoints. *)
+   [Dirty_pages] rides the checkpoint seal: every snapshot is followed,
+   in the same synchronous block, by the next paged store's flush (whose
+   WAL-rule sync forces the log) or by the forcing [Ckpt_end].  Losing
+   one in a crash only starts page redo at an earlier snapshot, or at the
+   beginning of the log: a snapshot bounds redo on its own and is never
+   needed for correctness. *)
 let forces = function
   | Invoked _ | Prepared _ | Prepared_decided _ | Compensated _ | Process_committed _
-  | Process_aborted _ | Ckpt_end _ | Coord_begin _ | Coord_committed _ | Dirty_pages _ ->
+  | Process_aborted _ | Ckpt_end _ | Coord_begin _ | Coord_committed _ ->
       true
   | Process_registered _ | Commit_requested _ | Abort_requested _ | Ckpt_begin _
-  | Coord_forgotten _ | Kv_write _ -> false
+  | Coord_forgotten _ | Kv_write _ | Dirty_pages _ -> false
 
 type sync_policy =
   | No_sync

@@ -68,14 +68,15 @@ let test_create_refuses_existing_log () =
 
 (* The record kinds [Sync_each] forces, listed here independently of the
    WAL's own predicate: every record that witnesses an effect or decides
-   an outcome.  The other six kinds stay buffered until the next forcing
-   append; a page write ([Kv_write]) rides its witness's fsync. *)
+   an outcome.  The other seven kinds stay buffered until the next
+   forcing append; a page write ([Kv_write]) rides its witness's fsync,
+   a page snapshot ([Dirty_pages]) its checkpoint's. *)
 let forcing = function
   | Wal.Invoked _ | Wal.Prepared _ | Wal.Prepared_decided _ | Wal.Compensated _
   | Wal.Process_committed _ | Wal.Process_aborted _ | Wal.Ckpt_end _ | Wal.Coord_begin _
-  | Wal.Coord_committed _ | Wal.Dirty_pages _ -> true
+  | Wal.Coord_committed _ -> true
   | Wal.Process_registered _ | Wal.Commit_requested _ | Wal.Abort_requested _
-  | Wal.Ckpt_begin _ | Wal.Coord_forgotten _ | Wal.Kv_write _ -> false
+  | Wal.Ckpt_begin _ | Wal.Coord_forgotten _ | Wal.Kv_write _ | Wal.Dirty_pages _ -> false
 
 (* the longest prefix of [records] that ends in a forcing record *)
 let forced_prefix records =
@@ -1022,6 +1023,47 @@ let test_page_writes_durable_at_witness () =
         (Store.bufpool (Rm.store rm)))
     rms
 
+(* A checkpoint's [Dirty_pages] snapshots ride the seal's next force:
+   the next paged store's flush or the [Ckpt_end].  So a [Sync_each]
+   checkpoint over three paged stores, each with dirty pages, costs at
+   most N+1 = 4 fsyncs (forcing every snapshot costs N+2), and leaves
+   the whole span durable. *)
+let test_checkpoint_fsyncs () =
+  with_tmp_wal_dir @@ fun path ->
+  let dir = Filename.dirname path in
+  let params = { Generator.default_params with services = 6; subsystems = 3 } in
+  let seed = 3 in
+  let registry = Generator.registry params in
+  let rms =
+    List.init params.Generator.subsystems (fun i ->
+        let name = Printf.sprintf "ss%d" i in
+        let store =
+          Store.create_paged ~frames:8 ~page_size:1024 (Filename.concat dir (name ^ ".pages"))
+        in
+        Rm.create ~name ~registry ~seed:(seed + i) ~store ())
+  in
+  let config = { Scheduler.default_config with seed } in
+  let t = Scheduler.create ~config ~spec:(Generator.spec params) ~rms ~wal_path:path () in
+  List.iteri
+    (fun i p -> Scheduler.submit t ~at:(float_of_int i) p)
+    (Generator.batch ~seed params ~n:8);
+  Scheduler.run t;
+  let pools = List.filter_map (fun rm -> Store.bufpool (Rm.store rm)) rms in
+  check Alcotest.bool "every store has dirty pages" true
+    (List.for_all (fun pool -> Bufpool.dirty_page_table pool <> []) pools);
+  let fsyncs () = Tpm_sim.Metrics.count (Scheduler.metrics t) "wal_fsyncs" in
+  let before = fsyncs () in
+  Scheduler.checkpoint t;
+  check Alcotest.int "N+1 fsyncs for N = 3 paged stores" 4 (fsyncs () - before);
+  check Alcotest.int "three snapshots logged" 3
+    (List.length
+       (List.filter (function Wal.Dirty_pages _ -> true | _ -> false) (Scheduler.wal_records t)));
+  let st = Wal.stats (Scheduler.wal t) in
+  check Alcotest.int "the span is durable" st.Wal.acked_records st.Wal.durable_records;
+  check Alcotest.int "nothing buffered" 0 (Wal.pending (Scheduler.wal t));
+  ignore (Scheduler.crash t);
+  List.iter (fun pool -> Tpm_kv.Pager.close (Bufpool.pager pool)) pools
+
 let checkpoint_suite =
   [
     Alcotest.test_case "compact drops closed records" `Quick test_compact_drops_closed_records;
@@ -1045,6 +1087,8 @@ let checkpoint_suite =
       test_group_commit_scheduler;
     Alcotest.test_case "page writes are durable at every witness" `Quick
       test_page_writes_durable_at_witness;
+    Alcotest.test_case "a checkpoint over N paged stores forces at most N+1 fsyncs" `Quick
+      test_checkpoint_fsyncs;
   ]
 
 (* Recovery goldens over the fingerprint workload (3 modes x 2 seeds):

@@ -270,7 +270,7 @@ let apply_disk_fault ~path fault =
    checks the forcing rule instead of restating it. *)
 let lazy_record = function
   | Wal.Process_registered _ | Wal.Commit_requested _ | Wal.Abort_requested _
-  | Wal.Ckpt_begin _ | Wal.Coord_forgotten _ | Wal.Kv_write _ -> true
+  | Wal.Ckpt_begin _ | Wal.Coord_forgotten _ | Wal.Kv_write _ | Wal.Dirty_pages _ -> true
   | _ -> false
 
 let disk_config mode seed sync =
