@@ -96,11 +96,15 @@ type sync_policy =
       (** the default: flush + fsync on every append whose record
           witnesses an effect or decides an outcome — every kind except
           [Process_registered], [Commit_requested], [Abort_requested],
-          [Ckpt_begin], [Coord_forgotten] and [Kv_write].  The first
-          five are read by no recovery path; a [Kv_write] is always
-          followed, in the same synchronous block, by the forcing record
-          that witnesses its local commit, and the buffer pool forces
-          the log before a page carrying it reaches disk.  Lazy records
+          [Ckpt_begin], [Coord_forgotten], [Kv_write] and [Dirty_pages].
+          The first five are read by no recovery path; a [Kv_write] is
+          always followed, in the same synchronous block, by the forcing
+          record that witnesses its local commit, and the buffer pool
+          forces the log before a page carrying it reaches disk; a
+          [Dirty_pages] snapshot is followed, in the checkpoint's
+          synchronous seal, by the next paged store's forcing flush or by
+          the forcing [Ckpt_end], and losing it only starts page redo
+          earlier.  Lazy records
           stay buffered until the next forcing append's fsync (or an
           explicit {!sync}) covers them, so the durable log is always a
           prefix of the appended one. *)
