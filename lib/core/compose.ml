@@ -124,12 +124,15 @@ let members_mem g n = List.mem n g.members
      group (a branch switch would enter the subprocess halfway). *)
 let validate proc groups =
   let err fmt = Printf.ksprintf (fun s -> Error s) fmt in
-  let rec check_disjoint seen = function
+  (* names key the admitted groups, so they must be unique too *)
+  let rec check_disjoint names seen = function
     | [] -> Ok ()
     | g :: rest -> (
-        match List.find_opt (fun n -> List.mem n seen) g.members with
-        | Some n -> err "group %s: activity %d already grouped" g.gname n
-        | None -> check_disjoint (g.members @ seen) rest)
+        if List.mem g.gname names then err "group %s: name already used" g.gname
+        else
+          match List.find_opt (fun n -> List.mem n seen) g.members with
+          | Some n -> err "group %s: activity %d already grouped" g.gname n
+          | None -> check_disjoint (g.gname :: names) (g.members @ seen) rest)
   in
   let check_group g =
     if g.members = [] then err "group %s: empty" g.gname
@@ -160,7 +163,7 @@ let validate proc groups =
                   err "group %s: choice point %d branches into the subprocess" g.gname x
               | None -> Ok ()))
   in
-  match check_disjoint [] groups with
+  match check_disjoint [] [] groups with
   | Error _ as e -> e
   | Ok () ->
       List.fold_left

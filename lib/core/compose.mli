@@ -60,9 +60,10 @@ type group = {
 }
 
 val validate : Process.t -> group list -> (unit, string) result
-(** Members exist and are pairwise disjoint across groups; no outside
-    activity lies on a [≪]-path between two members (prec-convexity); no
-    outside choice point branches into the group. *)
+(** Names are unique (admission keys a group by its name); members exist
+    and are pairwise disjoint across groups; no outside activity lies on a
+    [≪]-path between two members (prec-convexity); no outside choice point
+    branches into the group. *)
 
 val validate_exn : Process.t -> group list -> unit
 (** @raise Invalid_argument on a violation. *)

@@ -1,34 +1,13 @@
-(* Growable disjoint-set forest with union by rank and path halving.
-   Elements are dense non-negative ints; an element is implicitly a
-   singleton until the first union touching it.  The shard map unions
-   conflict-matrix rows and per-process service bundles with it, so both
-   operations must stay effectively O(α). *)
+(* Disjoint-set forest with union by rank and path halving over the
+   dense ints [0 .. n-1].  The shard partition unions conflict-matrix
+   rows and per-process service bundles with it, so both operations must
+   stay effectively O(α). *)
 
-type t = {
-  mutable parent : int array;
-  mutable rank : int array;
-  mutable cap : int;  (* parent.(i) meaningful for i < cap *)
-}
+type t = { parent : int array; rank : int array }
 
-let create ?(capacity = 16) () =
-  let capacity = max 1 capacity in
-  { parent = Array.init capacity Fun.id; rank = Array.make capacity 0; cap = capacity }
-
-let ensure t i =
-  if i < 0 then invalid_arg "Unionfind.ensure: negative element";
-  if i >= t.cap then begin
-    let cap' = max (i + 1) (2 * t.cap) in
-    let parent' = Array.init cap' Fun.id in
-    let rank' = Array.make cap' 0 in
-    Array.blit t.parent 0 parent' 0 t.cap;
-    Array.blit t.rank 0 rank' 0 t.cap;
-    t.parent <- parent';
-    t.rank <- rank';
-    t.cap <- cap'
-  end
+let create n = { parent = Array.init n Fun.id; rank = Array.make n 0 }
 
 let rec find t i =
-  ensure t i;
   let p = t.parent.(i) in
   if p = i then i
   else begin
@@ -47,5 +26,3 @@ let union t i j =
       t.parent.(rj) <- ri;
       t.rank.(ri) <- t.rank.(ri) + 1
     end
-
-let same t i j = find t i = find t j

@@ -1,18 +1,13 @@
-(** Growable disjoint-set forest (union by rank, path halving).
-
-    Elements are dense non-negative ints and spring into existence as
-    singletons on first touch — the structure grows transparently, so
-    callers interning new services never pre-size it.  Union-only: the
-    shard map layered on top handles retirement by periodic rebuild. *)
+(** Disjoint-set forest over the dense ints [0 .. n-1] (union by rank,
+    path halving).  The shard partition unions conflict rows and
+    per-process service bundles with it. *)
 
 type t
 
-val create : ?capacity:int -> unit -> t
-val ensure : t -> int -> unit
-(** Grow to cover element [i]. Implicit in {!find}/{!union}/{!same}. *)
+val create : int -> t
+(** [n] singletons. *)
 
 val find : t -> int -> int
 (** Canonical representative of [i]'s set; effectively O(α). *)
 
 val union : t -> int -> int -> unit
-val same : t -> int -> int -> bool

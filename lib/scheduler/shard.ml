@@ -12,113 +12,41 @@ open Tpm_core
    interleaving (the union of component-wise acyclic graphs with no
    cross-component edges is acyclic). *)
 
-module Map = struct
-  type t = {
-    cspec : Conflict.Compiled.t;
-    mutable uf : Unionfind.t;  (* over service ids of [cspec] *)
-    mutable synced : int;  (* service ids whose matrix row has been unioned *)
-    procs : (int, int list) Hashtbl.t;  (* live pid -> its service ids *)
-    mutable retired : int;  (* retirements since the last rebuild *)
-  }
-
-  (* union the matrix rows interned since the last sync.  The matrix is
-     symmetric and rows only gain services, so folding each new row over
-     its bits covers every pair incident to a new service; old-old pairs
-     were covered by earlier syncs. *)
-  let sync t =
-    let n = Conflict.Compiled.size t.cspec in
-    for i = t.synced to n - 1 do
-      List.iter (fun j -> Unionfind.union t.uf i j)
-        (Bitset.elements (Conflict.Compiled.row t.cspec i))
-    done;
-    t.synced <- n
-
-  let create spec =
-    let t =
-      {
-        cspec = Conflict.Compiled.make spec;
-        uf = Unionfind.create ();
-        synced = 0;
-        procs = Hashtbl.create 64;
-        retired = 0;
-      }
-    in
-    sync t;
-    t
-
-  let service_ids t proc =
-    List.sort_uniq compare
-      (List.map
-         (fun act -> Conflict.Compiled.intern t.cspec (Process.find proc act).Activity.service)
-         (Process.activity_ids proc))
-
-  let services = service_ids
-
-  (* a process bundles its services into one component: its own
-     dependency edges reach every component any of its services lives in *)
-  let bundle t sids =
-    match sids with
-    | [] -> ()
-    | s0 :: rest -> List.iter (fun s -> Unionfind.union t.uf s0 s) rest
-
-  let admit t proc =
-    let sids = services t proc in
-    sync t;  (* interning may have grown the matrix *)
-    bundle t sids;
-    Hashtbl.replace t.procs (Process.pid proc) sids;
-    match sids with [] -> -1 | s0 :: _ -> Unionfind.find t.uf s0
-
-  (* rebuild from scratch: static conflict edges plus the bundles of the
-     processes still live.  Union-find cannot split, so retirement can
-     only coarsen lazily — the periodic rebuild re-sharpens the partition
-     once enough bundles died. *)
-  let rebuild t =
-    t.uf <- Unionfind.create ();
-    t.synced <- 0;
-    sync t;
-    Hashtbl.iter (fun _ sids -> bundle t sids) t.procs;
-    t.retired <- 0
-
-  let retire t pid =
-    if Hashtbl.mem t.procs pid then begin
-      Hashtbl.remove t.procs pid;
-      t.retired <- t.retired + 1;
-      if t.retired > max 16 (Hashtbl.length t.procs) then rebuild t
-    end
-
-  let component t proc =
-    match services t proc with
-    | [] -> -1
-    | s0 :: rest ->
-        sync t;
-        (* query only: the candidate's bundle is not recorded, but its
-           span decides which components it would merge *)
-        let r0 = Unionfind.find t.uf s0 in
-        if List.for_all (fun s -> Unionfind.find t.uf s = r0) rest then r0 else -2
-
-  let same_component t i j =
-    sync t;
-    Unionfind.same t.uf i j
-
-  let live_count t = Hashtbl.length t.procs
-end
-
-(* Deterministic partition of a closed batch: components are assigned to
-   buckets round-robin in order of first appearance, so the partition
-   depends only on (spec, procs) — never on domain scheduling. *)
+(* Deterministic partition of a closed batch: one union-find over the
+   batch's interned services, closed over the compiled conflict rows and
+   each process's service bundle; components are assigned to buckets
+   round-robin in order of first appearance, so the partition depends
+   only on (spec, procs) — never on domain scheduling. *)
 let partition ~shards ~spec procs =
   let shards = max 1 shards in
-  let map = Map.create spec in
-  (* first pass: union the whole closed batch, so roots are final —
-     a later submission can merge components assigned earlier, and only
-     the fixpoint partition is conflict-closed *)
-  List.iter (fun (_, proc) -> ignore (Map.admit map proc)) procs;
+  let cspec = Conflict.Compiled.make spec in
+  let bundles =
+    List.map
+      (fun (_, proc) ->
+        List.map
+          (fun act -> Conflict.Compiled.intern cspec (Process.find proc act).Activity.service)
+          (Process.activity_ids proc))
+      procs
+  in
+  (* every service is interned before the rows are read: interning fills
+     the new service's row and column, so the rows are final here *)
+  let uf = Unionfind.create (Conflict.Compiled.size cspec) in
+  for i = 0 to Conflict.Compiled.size cspec - 1 do
+    List.iter (Unionfind.union uf i) (Bitset.elements (Conflict.Compiled.row cspec i))
+  done;
+  (* a process bundles its services into one component: its own
+     dependency edges reach every component any of its services lives in *)
+  List.iter
+    (function [] -> () | s0 :: rest -> List.iter (Unionfind.union uf s0) rest)
+    bundles;
   let bucket_of_root = Hashtbl.create 16 in
   let next = ref 0 in
-  let buckets = Array.make shards [] in
-  List.iter
-    (fun ((_, proc) as item) ->
-      let root = Map.component map proc in
+  (* a batch spans at most one component per process *)
+  let buckets = Array.make (min shards (List.length procs)) [] in
+  List.iter2
+    (fun item sids ->
+      (* processes with no activities share the pseudo-root [-1] *)
+      let root = match sids with [] -> -1 | s0 :: _ -> Unionfind.find uf s0 in
       let b =
         match Hashtbl.find_opt bucket_of_root root with
         | Some b -> b
@@ -129,13 +57,10 @@ let partition ~shards ~spec procs =
             b
       in
       buckets.(b) <- item :: buckets.(b))
-    procs;
+    procs bundles;
   (* drop empty buckets (fewer components than shards), keep order *)
   Array.to_list buckets
   |> List.filter_map (fun l -> match l with [] -> None | l -> Some (List.rev l))
-
-let components ~spec procs =
-  List.length (partition ~shards:max_int ~spec (List.map (fun p -> (0.0, p)) procs))
 
 (* One scheduler per bucket, buckets pulled from a shared atomic counter
    by [domains] workers.  Every scheduler is domain-local: [make_rms]
@@ -144,8 +69,7 @@ let components ~spec procs =
    [domains = 1] no domain is ever spawned and the buckets run inline in
    order — a [shards = 1] single-domain run is the plain
    create/submit/run loop, bit for bit. *)
-let run_parallel ?(domains = 1) ?(shards = 1) ?until ?wal_path ~config ~spec ~make_rms
-    procs =
+let run_parallel ?(domains = 1) ?(shards = 1) ?wal_path ~config ~spec ~make_rms procs =
   let buckets = Array.of_list (partition ~shards ~spec procs) in
   let k = Array.length buckets in
   let results = Array.make k None in
@@ -158,7 +82,7 @@ let run_parallel ?(domains = 1) ?(shards = 1) ?until ?wal_path ~config ~spec ~ma
         let wal_path = Option.map (fun p -> Printf.sprintf "%s.shard%d" p i) wal_path in
         let t = Scheduler.create ~config ?wal_path ~spec ~rms () in
         List.iter (fun (at, p) -> Scheduler.submit t ~at p) buckets.(i);
-        Scheduler.run ?until t;
+        Scheduler.run t;
         results.(i) <- Some t;
         loop ()
       end

@@ -10,61 +10,22 @@
     shard's graph is the full graph restricted to its component, and
     per-shard acyclicity (PRED) implies global acyclicity (PRED). *)
 
-(** The component map: union-find over interned service ids, closed over
-    conflict-matrix rows and per-process service bundles; maintained
-    incrementally on admit and retire (retirement re-sharpens by periodic
-    rebuild — union-find cannot split). *)
-module Map : sig
-  type t
-
-  val create : Tpm_core.Conflict.t -> t
-
-  val admit : t -> Tpm_core.Process.t -> int
-  (** Interns the process's services, merges their components (the merge
-      protocol: a submission whose conflict closure spans components
-      unifies them), records the pid as live, and returns the component
-      root.  [-1] for a process with no activities. *)
-
-  val retire : t -> int -> unit
-  (** Forget a terminated pid's bundle.  Coarsening is healed lazily: once
-      retirements outnumber the live set the map is rebuilt from the
-      static conflict rows plus the live bundles. *)
-
-  val service_ids : t -> Tpm_core.Process.t -> int list
-  (** The process's distinct interned service ids, sorted — the key a
-      router assigns shard ownership by. *)
-
-  val component : t -> Tpm_core.Process.t -> int
-  (** Query without recording: the component root the process would land
-      in, [-2] if its services currently span several components (the
-      caller decides whether to merge via {!admit} or to route to an
-      owner), [-1] if it has no activities. *)
-
-  val same_component : t -> int -> int -> bool
-  (** Whether two interned service ids currently share a component.  A
-      router must claim ownership component-wise: a service conflicting
-      with a claimed one belongs to the claimant even if never seen. *)
-
-  val live_count : t -> int
-end
-
 val partition :
   shards:int ->
   spec:Tpm_core.Conflict.t ->
   (float * Tpm_core.Process.t) list ->
   (float * Tpm_core.Process.t) list list
-(** Deterministic closed-batch partition: components assigned round-robin
-    to [shards] buckets in order of first appearance; empty buckets are
-    dropped, submission order is preserved within each bucket.  Depends
-    only on [(spec, procs)], never on domain scheduling. *)
-
-val components : spec:Tpm_core.Conflict.t -> Tpm_core.Process.t list -> int
-(** Number of conflict-connected components the process set spans. *)
+(** Deterministic closed-batch partition: one union-find over the batch's
+    services, closed over declared conflicts and each process's service
+    bundle; components are assigned round-robin to [shards] buckets in
+    order of first appearance (processes with no activities count as one
+    component).  Empty buckets are dropped, submission order is preserved
+    within each bucket.  Depends only on [(spec, procs)], never on domain
+    scheduling. *)
 
 val run_parallel :
   ?domains:int ->
   ?shards:int ->
-  ?until:float ->
   ?wal_path:string ->
   config:Scheduler.config ->
   spec:Tpm_core.Conflict.t ->

@@ -357,7 +357,14 @@ let test_group_validation () =
          { Compose.gname = "g2"; members = [ 2; 3 ] };
        ]);
   check Alcotest.bool "non-convex group rejected" false
-    (ok [ { Compose.gname = "g"; members = [ 1; 3 ] } ])
+    (ok [ { Compose.gname = "g"; members = [ 1; 3 ] } ]);
+  check Alcotest.(result unit string) "reused group name rejected"
+    (Error "group g: name already used")
+    (Compose.validate p
+       [
+         { Compose.gname = "g"; members = [ 1 ] };
+         { Compose.gname = "g"; members = [ 2; 3 ] };
+       ])
 
 (* -------------------------------------------------------------------- *)
 (* Differential: groups + enforcement under the Checked engine          *)

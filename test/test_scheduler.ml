@@ -578,6 +578,15 @@ let test_submit_rejects_bad_process () =
   (* activity 2 lies on the path 1 -> 2 -> 3 but outside the group *)
   raises "ill-formed grouping" (fun () ->
       Scheduler.submit t ~groups:[ { Compose.gname = "g"; members = [ 1; 3 ] } ] valid);
+  (* two well-formed groups under one name: admission keys groups by name *)
+  raises "reused group name" (fun () ->
+      Scheduler.submit t
+        ~groups:
+          [
+            { Compose.gname = "g"; members = [ 1; 2 ] };
+            { Compose.gname = "g"; members = [ 3; 4 ] };
+          ]
+        valid);
   Scheduler.submit t ~args_of:Cim.args_of valid;
   Scheduler.run t;
   check Alcotest.bool "finished" true (Scheduler.finished t);

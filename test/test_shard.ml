@@ -6,14 +6,12 @@
    - property: shard partitions are conflict-closed and cover the batch;
      sharded decision trajectories equal the single-engine trajectory on
      conflict-disjoint (clustered) workloads;
-   - the routing front door: ownership, spanning-submission deflection,
-     component merge after drain, shed accounting. *)
+   - property: with unbounded shards the buckets are exactly the
+     connected components, computed independently with [Digraph]. *)
 
 open Tpm_core
 module Scheduler = Tpm_scheduler.Scheduler
 module Shard = Tpm_scheduler.Shard
-module Server = Tpm_server.Server
-module Router = Tpm_server.Router
 module Generator = Tpm_workload.Generator
 module Prng = Tpm_sim.Prng
 
@@ -129,6 +127,80 @@ let partition_is_conflict_closed =
         QCheck.Test.fail_report "partition not deterministic";
       true)
 
+(* The components of the batch, independently of the union-find: a
+   [Digraph] over the spec's services with an edge each way for every
+   declared conflict and for consecutive services of one process.  Two
+   processes share a component iff their first services reach each other
+   (or coincide).  Grouped in order of first appearance. *)
+let reference_components spec items =
+  let services p =
+    List.map (fun a -> (Process.find p a).Activity.service) (Process.activity_ids p)
+  in
+  let names =
+    List.sort_uniq compare
+      (List.concat_map (fun (a, b) -> [ a; b ]) (Conflict.pairs spec)
+      @ List.concat_map (fun (_, p) -> services p) items)
+  in
+  let index = Hashtbl.create 16 in
+  List.iteri (fun i s -> Hashtbl.replace index s i) names;
+  let id = Hashtbl.find index in
+  let both (a, b) = [ (id a, id b); (id b, id a) ] in
+  let rec chain = function a :: (b :: _ as rest) -> (a, b) :: chain rest | _ -> [] in
+  let g =
+    Digraph.make
+      ~nodes:(List.init (List.length names) Fun.id)
+      ~edges:
+        (List.concat_map both
+           (Conflict.pairs spec @ List.concat_map (fun (_, p) -> chain (services p)) items))
+  in
+  let joined p q =
+    let a = id (List.hd (services p)) and b = id (List.hd (services q)) in
+    a = b || Digraph.reachable g a b
+  in
+  List.fold_left
+    (fun groups ((_, p) as item) ->
+      let rec place = function
+        | [] -> [ [ item ] ]
+        | ((_, q) :: _ as grp) :: rest ->
+            if joined p q then (grp @ [ item ]) :: rest else grp :: place rest
+        | [] :: _ -> assert false
+      in
+      place groups)
+    [] items
+
+let partition_is_components =
+  QCheck.Test.make ~count:60
+    ~name:"shard partition: unbounded shards give exactly the connected components"
+    arb_seed (fun seed ->
+      let rng = Prng.create (seed + 6) in
+      (* clustered batches, and sparse random ones whose components merge
+         through declared conflicts and process bundles *)
+      let spec, procs =
+        if seed mod 2 = 0 then
+          let clusters = 2 + Prng.int rng 3 in
+          let spec, _, procs, _ =
+            Generator.clustered ~seed small_params ~clusters ~n:(clusters + Prng.int rng 10)
+          in
+          (spec, procs)
+        else
+          let params =
+            { small_params with services = 40; conflict_density = 0.01; activities_max = 3 }
+          in
+          let n = 1 + Prng.int rng 20 in
+          (Generator.spec ~seed params, Generator.batch ~seed:(seed + 1) params ~n)
+      in
+      let items = List.mapi (fun i p -> (0.3 *. float_of_int i, p)) procs in
+      let show buckets =
+        String.concat " "
+          (List.map
+             (fun b -> String.concat ";" (List.map (fun (_, p) -> string_of_int (Process.pid p)) b))
+             buckets)
+      in
+      let got = show (Shard.partition ~shards:max_int ~spec items) in
+      let want = show (reference_components spec items) in
+      if got <> want then QCheck.Test.fail_reportf "buckets %s, components %s" got want;
+      true)
+
 (* ------------------------------------------------------------------ *)
 (* Shard equivalence: sharded ≡ single engine on conflict-disjoint load *)
 
@@ -233,144 +305,14 @@ let sharded_checked_multi_domain () =
   in
   Alcotest.(check int) "every process ran on exactly one shard" 9 total
 
-(* ------------------------------------------------------------------ *)
-(* Router: ownership, deflection, merge after drain, accounting *)
-
-let router_fixture ?(server_config = Server.default_config) ?(shards = 2) () =
-  let clusters = 2 in
-  let spec, make_rms, procs, cluster_of =
-    Generator.clustered ~seed:4 small_params ~clusters ~n:6
-  in
-  let make_scheduler () =
-    Scheduler.create ~config:{ Scheduler.default_config with seed = 3 } ~spec
-      ~rms:(make_rms ()) ()
-  in
-  let r = Router.create ~config:server_config ~shards ~spec ~make_scheduler () in
-  (r, spec, procs, cluster_of)
-
-let router_routes_by_component () =
-  let r, spec, procs, _ = router_fixture () in
-  let placed =
-    List.filter_map
-      (fun p ->
-        match Router.offer r p with
-        | Router.Deflected -> None
-        | Router.Routed (s, d) -> (
-            match d with
-            | Server.Admitted | Server.Queued | Server.Degraded_admit _ ->
-                Some (s, p)
-            | Server.Rejected reason ->
-                Alcotest.failf "P%d rejected: %s" (Process.pid p)
-                  (Server.reason_label reason)))
-      procs
-  in
-  Alcotest.(check bool) "some processes placed" true (placed <> []);
-  (* the partition invariant while everything is live: processes placed on
-     different shards share no conflicting services *)
-  let buckets =
-    List.init (Router.shards r) (fun s ->
-        List.filter_map
-          (fun (s', p) -> if s' = s then Some (0.0, p) else None)
-          placed)
-    |> List.filter (fun b -> b <> [])
-  in
-  no_cross_bucket_conflict spec buckets;
-  Router.run r;
-  Alcotest.(check bool) "accounting holds" true (Router.accounting_ok r);
-  let c = Router.counters r in
-  Alcotest.(check int) "every placement was offered" (List.length placed)
-    c.Server.offered;
-  List.iter
-    (fun (s, p) ->
-      let pid = Process.pid p in
-      Alcotest.(check bool)
-        (Printf.sprintf "P%d terminal on its shard" pid)
-        true
-        (Scheduler.status (Server.scheduler (Router.server r s)) pid
-        <> Schedule.Active))
-    placed
-
-(* a process spanning the components of two existing activities *)
-let spanning_proc ~pid (a : Activity.t) (b : Activity.t) =
-  let a1 =
-    Activity.make ~proc:pid ~act:1 ~service:a.Activity.service
-      ~kind:Activity.Retriable ~subsystem:a.Activity.subsystem ()
-  in
-  let a2 =
-    Activity.make ~proc:pid ~act:2 ~service:b.Activity.service
-      ~kind:Activity.Retriable ~subsystem:b.Activity.subsystem ()
-  in
-  Process.make_exn ~pid ~activities:[ a1; a2 ] ~prec:[ (1, 2) ] ~pref:[]
-
-let first_act p = Process.find p (List.hd (Process.activity_ids p))
-
-let router_deflects_spanning_then_merges () =
-  let r, _, procs, cluster_of = router_fixture () in
-  (* occupy both shards with live processes from each cluster *)
-  let p0 = List.find (fun p -> cluster_of (Process.pid p) = 0) procs in
-  let p1 = List.find (fun p -> cluster_of (Process.pid p) = 1) procs in
-  (match Router.offer r p0 with
-  | Router.Routed (_, Server.Admitted) -> ()
-  | other -> Alcotest.failf "p0: %s" (Router.route_label other));
-  (match Router.offer r p1 with
-  | Router.Routed (_, Server.Admitted) -> ()
-  | other -> Alcotest.failf "p1: %s" (Router.route_label other));
-  (* both owners live: a spanning submission must be deflected, never
-     admitted with an invisible cross-shard edge *)
-  (match Router.offer r (spanning_proc ~pid:100 (first_act p0) (first_act p1)) with
-  | Router.Deflected -> ()
-  | other -> Alcotest.failf "expected deflection, got %s" (Router.route_label other));
-  Alcotest.(check int) "deflection counted" 1 (Router.deflected r);
-  (* drain both clusters; the dead owners' claims can now merge *)
-  Router.run r;
-  (match Router.offer r (spanning_proc ~pid:101 (first_act p0) (first_act p1)) with
-  | Router.Routed (_, Server.Admitted) -> ()
-  | other ->
-      Alcotest.failf "expected merged admit after drain, got %s"
-        (Router.route_label other));
-  Router.run r;
-  Alcotest.(check bool) "accounting still holds" true (Router.accounting_ok r)
-
-let router_parallel_run () =
-  (* domain-parallel Router.run on disjoint shards reaches the same
-     terminal statuses as the sequential drive *)
-  let run ~domains =
-    let r, _, procs, _ = router_fixture () in
-    List.iter (fun p -> ignore (Router.offer r p)) procs;
-    Router.run ~domains r;
-    List.map
-      (fun p ->
-        let pid = Process.pid p in
-        let status =
-          List.find_map
-            (fun s ->
-              match Scheduler.status (Server.scheduler (Router.server r s)) pid with
-              | Schedule.Active -> None
-              | st -> Some st)
-            (List.init (Router.shards r) Fun.id)
-        in
-        (pid, status))
-      procs
-  in
-  let seq = run ~domains:1 and par = run ~domains:2 in
-  List.iter2
-    (fun (pid, a) (_, b) ->
-      if a <> b then Alcotest.failf "P%d status differs across domain counts" pid)
-    seq par
-
 let suite =
   [
     QCheck_alcotest.to_alcotest latent_equiv_under_churn;
     QCheck_alcotest.to_alcotest partition_is_conflict_closed;
+    QCheck_alcotest.to_alcotest partition_is_components;
     QCheck_alcotest.to_alcotest shard_equivalence;
     Alcotest.test_case "shards off: bit-identical to the plain loop" `Quick
       sharded_off_bit_identical;
     Alcotest.test_case "checked oracle per shard across 2 domains" `Quick
       sharded_checked_multi_domain;
-    Alcotest.test_case "router: clusters pin to shards, all terminate" `Quick
-      router_routes_by_component;
-    Alcotest.test_case "router: spanning offer deflected, merged after drain" `Quick
-      router_deflects_spanning_then_merges;
-    Alcotest.test_case "router: parallel run matches sequential" `Quick
-      router_parallel_run;
   ]
