@@ -13,7 +13,10 @@
 type decision =
   | Invoke  (** admitted for immediate invocation *)
   | Prepare  (** admitted, subsystem commit deferred behind 2PC (Lemma 1) *)
-  | Delay of int list  (** delayed behind the listed blocking pids *)
+  | Delay of int list
+      (** delayed behind its witness, the sorted live pids whose change can
+          lift it (the first busy blocker, the would-be cycle's other
+          members, the predecessors); without one, every blocking pid *)
 
 (** Why the admission decision came out the way it did. *)
 type reason =

@@ -1121,8 +1121,12 @@ let live_pids t pids =
     (fun q -> match Hashtbl.find_opt t.procs q with Some ps -> live ps | None -> false)
     pids
 
-(* sorted endpoint set of the base edges (memoized): the Delay path
-   reports the endpoints of [new_edges @ latent] as blockers, and the
+(* a delay's explain payload: its witness minus the waiter, live, sorted *)
+let witness_payload t pid witness =
+  live_pids t (List.sort_uniq compare (List.filter (fun q -> q <> pid) witness))
+
+(* sorted endpoint set of the base edges (memoized): a full delay list
+   holds the endpoints of [new_edges @ latent] as blockers, and the
    base contribution to that set only changes when the base does —
    flattening and sorting the full edge list per delayed admission was
    the dominant cost of the whole admission path at scale *)
@@ -1263,11 +1267,14 @@ let lemma1_preds t pid new_edges =
    decision (the explain payload) and, for a delay, its witness: pids
    whose unchanged state proves the delay still holds ([None] when no
    such set is known — the waiter is then re-asked on every wake pass).
+   A delay carries {!witness_payload} as its blockers where it has a
+   witness; [~full:true] (the stall check, the [Checked] engine) asks for
+   the full wait-for blockers, which a witnessless delay always carries.
    The reference oracle is kept verbatim, full-history, and the [Checked]
    engine compares decisions and edges only, under the retirement
    contract: delay blockers as live pids, edges from unretired sources. *)
 
-let admission_decision t pid act =
+let admission_decision ?(full = false) t pid act =
   let ps = Hashtbl.find t.procs pid in
   let a = Process.find ps.proc act in
   let sidc = Hashtbl.find ps.svc_ids act in
@@ -1299,20 +1306,15 @@ let admission_decision t pid act =
         b
   in
   let others = List.filter (fun q -> Process.pid q.proc <> pid) (index t) in
-  let busy_blockers =
-    if member_admitted then []
-    else
-      List.filter_map
-        (fun q ->
-          if live q && busy_conflicts_bits t q ~row:crow then Some (Process.pid q.proc)
-          else None)
-        others
-  in
+  let busy q = live q && busy_conflicts_bits t q ~row:crow in
   (* Busy is checked first: while the first blocker is unchanged it still
      busy-conflicts, so the delay holds whatever else moves *)
-  if busy_blockers <> [] then
-    (Delay busy_blockers, [], Obs.Busy, Some [ List.hd busy_blockers ])
-  else begin
+  match if member_admitted then None else List.find_opt busy others with
+  | Some b ->
+      let blockers = if full then List.filter busy others else [ b ] in
+      let pids = List.map (fun q -> Process.pid q.proc) in
+      (Delay (pids blockers), [], Obs.Busy, Some (pids [ b ]))
+  | None ->
     let new_edges =
       if member_admitted then []
       else
@@ -1379,6 +1381,8 @@ let admission_decision t pid act =
       end
     in
     match would with
+    | Cycle_through nodes when not full ->
+        (Delay (witness_payload t pid nodes), [], Obs.Would_cycle, Some nodes)
     | Base_cyclic | Cycle_through _ ->
         (* wait for the live processes involved in the would-be cycle *)
         let blockers =
@@ -1422,7 +1426,6 @@ let admission_decision t pid act =
             Obs.Exact_reject,
             None )
         else (Admit_invoke, new_edges, admit_reason (), None)
-  end
 
 (* The pre-incremental admission path, kept verbatim (string-keyed
    conflict tests over the raw spec, per-pair future recomputation,
@@ -1701,7 +1704,7 @@ let admission t pid act =
           None )
     | Checked ->
         retirement_check t;
-        let d_inc, e_inc, r_inc, w_inc = admission_decision t pid act in
+        let d_inc, e_inc, r_inc, w_inc = admission_decision ~full:true t pid act in
         let d_ref, e_ref = Reference.admission_decision t pid act in
         (* the retirement contract (DESIGN §8): the full-history oracle's
            blockers compare as live pids, its edges as those whose source
@@ -1719,7 +1722,16 @@ let admission t pid act =
                (admission_to_string d_ref)
                (String.concat ";"
                   (List.map (fun (i, j) -> Printf.sprintf "%d->%d" i j) e_ref)));
-        (d_inc, e_inc, r_inc, w_inc)
+        (* a witness explains its delay: a non-empty part of the full blockers *)
+        match (d_inc, w_inc) with
+        | Delay full, Some w ->
+            let p = witness_payload t pid w in
+            if p = [] || List.exists (fun q -> not (List.mem q full)) p then
+              failwith
+                (Printf.sprintf "Scheduler.admission: P%d a%d witness outside %s" pid act
+                   (admission_to_string d_inc));
+            (Delay p, e_inc, r_inc, w_inc)
+        | d, _ -> (d, e_inc, r_inc, w_inc)
   in
   (match t.cfg.admission_clock with
   | Some f -> Metrics.observe t.metrics "admission_time" (f () -. t0)
@@ -1791,7 +1803,7 @@ let rec wake t =
   if not !(t.crashed) then begin
     let changed = ref false in
     let waiting : (int, int list) Hashtbl.t = Hashtbl.create 8 in
-    let parked = ref [] in
+    let delayed = ref [] in
     List.iter
       (fun ps ->
         (* the crash trigger may fire mid-iteration: once crashed, no
@@ -1839,19 +1851,15 @@ let rec wake t =
               end
               else if Wakeup.holds t.wakeup pid then begin
                 (* parked and no witness moved: every enabled activity is
-                   still delayed, exactly what re-asking would answer.  Its
-                   blockers are filled in only if this pass ends in a
-                   stall check; until then a placeholder holds its place,
-                   so [waiting] is laid out as after a full rescan. *)
+                   still delayed, exactly what re-asking would answer *)
                 Metrics.incr t.metrics "admission_delays";
                 Metrics.incr t.metrics "admission_parked";
-                if t.cfg.admission_engine = Checked then ignore (parked_blockers t ps);
+                if t.cfg.admission_engine = Checked then ignore (delay_blockers t ps);
                 Hashtbl.replace waiting pid [];
-                parked := ps :: !parked
+                delayed := ps :: !delayed
               end
               else begin
                 let enabled = Execution.enabled ps.exec in
-                let blockers = ref [] in
                 let witness = ref (Some [ pid ]) in
                 let admitted =
                   List.find_map
@@ -1859,8 +1867,7 @@ let rec wake t =
                       match admission t pid act with
                       | Admit_invoke, _ -> Some (act, `Invoke)
                       | Admit_prepare, _ -> Some (act, `Prepare)
-                      | Delay bs, w ->
-                          blockers := bs @ !blockers;
+                      | Delay _, w ->
                           witness :=
                             (match (!witness, w) with
                             | Some acc, Some w -> Some (w @ acc)
@@ -1876,8 +1883,10 @@ let rec wake t =
                     changed := true
                 | None ->
                     if enabled <> [] then begin
+                      (* a placeholder: the stall check fills it in place *)
                       Metrics.incr t.metrics "admission_delays";
-                      Hashtbl.replace waiting pid (List.sort_uniq compare !blockers);
+                      Hashtbl.replace waiting pid [];
+                      delayed := ps :: !delayed;
                       match !witness with
                       | Some w -> Wakeup.park t.wakeup pid ~witness:(List.sort_uniq compare w)
                       | None -> ()
@@ -1886,23 +1895,30 @@ let rec wake t =
             end)
       (index t);
     if !changed then wake t
-    else if not !(t.crashed) then detect_stall t waiting ~parked:!parked
+    else if not !(t.crashed) then detect_stall t waiting ~delayed:!delayed
   end
 
-(* The blockers of a parked waiter, re-derived with the pure decision
-   function.  A parked waiter must still be delayed on every enabled
-   activity; an admissible one is a missed wakeup — a witness that failed
-   to name a state change the delay depended on.  The [Checked] engine
-   runs this at every skip; the stall check runs it before choosing
-   victims. *)
-and parked_blockers t ps =
+(* The full wait-for blockers of a delayed waiter, re-derived with the
+   engine's pure decision function.  A delayed waiter must still be
+   delayed on every enabled activity; an admissible one is a missed
+   wakeup — a witness that failed to name a state change the delay
+   depended on.  The [Checked] engine runs this at every parked skip; the
+   stall check runs it for every waiter before choosing victims. *)
+and delay_blockers t ps =
   let pid = Process.pid ps.proc in
   List.concat_map
     (fun act ->
-      match admission_decision t pid act with
-      | Delay bs, _, _, _ -> bs
-      | (Admit_invoke | Admit_prepare), _, _, _ ->
-          failwith (Printf.sprintf "missed wakeup: parked P%d a%d admissible" pid act))
+      let d =
+        match t.cfg.admission_engine with
+        | Reference -> fst (Reference.admission_decision t pid act)
+        | Incremental | Checked ->
+            let d, _, _, _ = admission_decision ~full:true t pid act in
+            d
+      in
+      match d with
+      | Delay bs -> bs
+      | Admit_invoke | Admit_prepare ->
+          failwith (Printf.sprintf "missed wakeup: delayed P%d a%d admissible" pid act))
     (Execution.enabled ps.exec)
   |> List.sort_uniq compare
 
@@ -1951,7 +1967,7 @@ and on_twopc_done t pid act ~commit =
    serialization order already contradicts the required commit order).
    Resolution: abort the youngest stalled process; its completion restores
    progress (guaranteed termination). *)
-and detect_stall t waiting ~parked =
+and detect_stall t waiting ~delayed =
   let ps_list = index t in
   let lives = List.filter live ps_list in
   let busy =
@@ -1965,11 +1981,12 @@ and detect_stall t waiting ~parked =
          ps_list
   in
   if lives <> [] && not busy then begin
-    (* the waiters skipped as parked get their blockers now, in place, so
-       the wait-for graph (and the victims) are those of a full rescan *)
+    (* the delayed waiters get their full blockers now, in place: nothing
+       changed since the pass met them, so the wait-for graph (and the
+       victims) are those the pass would have built *)
     List.iter
-      (fun ps -> Hashtbl.replace waiting (Process.pid ps.proc) (parked_blockers t ps))
-      parked;
+      (fun ps -> Hashtbl.replace waiting (Process.pid ps.proc) (delay_blockers t ps))
+      delayed;
     (* build the wait-for graph and abort one cycle jointly, so that the
        Lemma 2/3 ordering of Completed.completion_order applies across the
        knot; waiters outside the cycle resume once it clears *)

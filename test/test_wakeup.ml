@@ -7,9 +7,12 @@
      same state, history, makespan and stall aborts, with fewer decisions
      computed on the parking side;
    - the missed-wakeup detector of the Checked engine fires when the
-     witnesses are ignored. *)
+     witnesses are ignored;
+   - twin runs: a ring tracer changes nothing the run decides, and each
+     traced delay is explained by its witness. *)
 
 open Tpm_core
+module Obs = Tpm_obs.Obs
 module Scheduler = Tpm_scheduler.Scheduler
 module Wakeup = Tpm_scheduler.Wakeup
 module Generator = Tpm_workload.Generator
@@ -38,7 +41,7 @@ let test_park_invalidation () =
 
 (* A contended workload: dense conflicts, processes submitted close
    together, so most admissions come back Delay and waiters park. *)
-let contended_run ?(instrument = ignore) ~engine ~mode ~order seed =
+let contended_run ?(instrument = ignore) ?tracer ~engine ~mode ~order seed =
   let rng = Prng.create seed in
   let params =
     {
@@ -53,7 +56,7 @@ let contended_run ?(instrument = ignore) ~engine ~mode ~order seed =
   let config =
     { Scheduler.default_config with mode; order; seed; admission_engine = engine }
   in
-  let t = Scheduler.create ~config ~spec:(Generator.spec ~seed params) ~rms () in
+  let t = Scheduler.create ~config ?tracer ~spec:(Generator.spec ~seed params) ~rms () in
   instrument t;
   List.iteri
     (fun i p -> Scheduler.submit t ~at:(0.1 *. float_of_int i) p)
@@ -123,6 +126,63 @@ let test_ignored_witnesses_trip_detector () =
   (* the same runs with witnesses honoured are clean *)
   List.iter (fun seed -> ignore (run seed)) seeds
 
+(* The same workload untraced and under a ring tracer, with both engines
+   that park.  Tracing must not change a decision: same state, history,
+   makespan, stall aborts and admission count.  Under [Checked] each
+   traced delay with a witness is checked by the engine against the full
+   blockers it also computes (non-empty, a subset of them); the trace
+   itself must show the payload shapes: a busy delay names one blocker,
+   and no delay names its own process. *)
+let twin_runs seed =
+  let mode = modes.(seed mod 3) and order = orders.(seed / 3 mod 2) in
+  let twin engine =
+    let delays = ref [] in
+    let sink =
+      Obs.Sink.make (fun _ ev ->
+          match ev with
+          | Obs.Admission { pid; decision = Obs.Delay blockers; reason; _ } ->
+              delays := (pid, blockers, reason) :: !delays
+          | _ -> ())
+    in
+    let tracer = Obs.Tracer.create ~sinks:[ sink ] () in
+    let off = contended_run ~tracer:Obs.Tracer.disabled ~engine ~mode ~order seed in
+    let on = contended_run ~tracer ~engine ~mode ~order seed in
+    let count t k = Metrics.count (Scheduler.metrics t) k in
+    if Scheduler.state_fingerprint off <> Scheduler.state_fingerprint on then
+      QCheck.Test.fail_report "state fingerprints differ";
+    if events off <> events on then QCheck.Test.fail_report "histories differ";
+    if Scheduler.now off <> Scheduler.now on then
+      QCheck.Test.fail_reportf "makespan %h vs %h" (Scheduler.now off) (Scheduler.now on);
+    List.iter
+      (fun k ->
+        if count off k <> count on k then
+          QCheck.Test.fail_reportf "%s %d vs %d" k (count off k) (count on k))
+      [ "stall_aborts"; "admissions" ];
+    if !delays = [] then QCheck.Test.fail_report "nothing delayed";
+    List.iter
+      (fun (pid, blockers, reason) ->
+        if List.mem pid blockers then QCheck.Test.fail_reportf "P%d waits for itself" pid;
+        if List.sort_uniq compare blockers <> blockers then
+          QCheck.Test.fail_reportf "P%d blockers unsorted" pid;
+        match reason with
+        | Obs.Busy when List.length blockers <> 1 ->
+            QCheck.Test.fail_reportf "P%d busy delay names %d blockers" pid
+              (List.length blockers)
+        | Obs.Conservative_wait when blockers = [] ->
+            QCheck.Test.fail_reportf "P%d waits for no predecessor" pid
+        | _ -> ())
+      !delays
+  in
+  twin Scheduler.Incremental;
+  twin Scheduler.Checked;
+  true
+
+let tracing_changes_nothing =
+  QCheck.Test.make ~count:60
+    ~name:"twin runs: a ring tracer changes no decision; delays name their witness"
+    (QCheck.make ~print:string_of_int (QCheck.Gen.int_bound 100_000))
+    twin_runs
+
 let suite =
   [
     Alcotest.test_case "park invalidation" `Quick test_park_invalidation;
@@ -131,4 +191,5 @@ let suite =
       test_conservative_wait_wakes;
     Alcotest.test_case "ignored witnesses trip the missed-wakeup detector" `Quick
       test_ignored_witnesses_trip_detector;
+    QCheck_alcotest.to_alcotest tracing_changes_nothing;
   ]
