@@ -68,7 +68,10 @@ module Compiled : sig
 
   val intern : t -> string -> int
   (** The dense id of a service name, allocating (and filling the new
-      matrix row/column) on first sight. *)
+      matrix row/column) on first sight.  A service first seen after
+      {!make} is in no conflict pair, so its row and column are empty and
+      every existing row is left unchanged: a union of rows cached before
+      the intern stays exact after it. *)
 
   val find_opt : t -> string -> int option
   val size : t -> int

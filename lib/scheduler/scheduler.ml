@@ -195,9 +195,10 @@ type pstate = {
    admission-relevant state marks [p] dirty ([bump_pid]); the next
    admission re-derives only [p]'s closure, [p]'s out-edges and [p]'s
    membership in every other source's out-set — O(dirty × procs) bitset
-   probes instead of the old drop-everything-and-rescan O(procs²).
-   Structural events that invalidate cached bitsets wholesale (a new
-   service growing the conflict matrix, recovery) set [lt_full].
+   probes instead of a drop-everything-and-rescan O(procs²).  No event
+   invalidates the base wholesale: a cached closure embeds conflict-matrix
+   rows, and interning never changes an existing row (a service interned
+   after [Compiled.make] is in no conflict pair).
 
    The topological order of the combined graph (stored dependency edges
    ∪ base latent edges) is kept as a state machine:
@@ -216,16 +217,11 @@ type order_state =
 
 type latent = {
   lt_dirty : (int, unit) Hashtbl.t;  (* pids whose state changed since the last patch *)
-  mutable lt_full : bool;  (* structural invalidation: rebuild everything *)
   lt_qconf : (int, Tpm_core.Bitset.t) Hashtbl.t;
       (* per-source conflict closure (occurrences ∪ in-flight ∪ prepared);
          key set = exactly the current sources (live ∪ committed, unretired) *)
   lt_out : (int, (int, unit) Hashtbl.t) Hashtbl.t;
       (* per-source latent out-edges into live targets; same key set *)
-  mutable lt_ends : int list option;
-      (* memoized sorted endpoint set of the base edges — the Delay path
-         reports blockers as an endpoint set, which must not cost O(edges)
-         per delayed admission *)
   mutable lt_order : order_state;
   mutable lt_next_pos : int;  (* append position for newly registered pids *)
 }
@@ -233,10 +229,8 @@ type latent = {
 let latent_create () =
   {
     lt_dirty = Hashtbl.create 16;
-    lt_full = true;
     lt_qconf = Hashtbl.create 32;
     lt_out = Hashtbl.create 32;
-    lt_ends = None;
     lt_order = Order_stale;
     lt_next_pos = 0;
   }
@@ -543,7 +537,7 @@ let create ?(config = default_config) ?(faults = Faults.none)
      retirement changes no admission decision. *)
   Deps.set_on_retire deps (fun pid ->
       t.idx_asc <- None;
-      if not t.latent.lt_full then Hashtbl.replace t.latent.lt_dirty pid ();
+      Hashtbl.replace t.latent.lt_dirty pid ();
       match Hashtbl.find_opt t.procs pid with
       | Some ps when Deps.committed deps pid -> Bitset.union ~into:t.retired_conf ps.occ_conf
       | Some _ | None -> ());
@@ -608,20 +602,10 @@ let index t =
    the next admission re-derives exactly its latent contribution.  The
    differential stress (--check-admission) and {!latent_self_check}
    would catch a missed site as an engine divergence.  The same sites
-   stamp the pid for the parked waiters ({!Wakeup}), before the [lt_full]
-   shortcut: a full rebuild pending does not make a mutation invisible to
-   a park. *)
+   stamp the pid for the parked waiters ({!Wakeup}). *)
 let bump_pid t pid =
   Wakeup.bump_pid t.wakeup pid;
-  if not t.latent.lt_full then Hashtbl.replace t.latent.lt_dirty pid ()
-
-(* structural invalidation: cached closures embed conflict-matrix rows,
-   so anything that mutates existing rows (late service interning) or
-   rebuilds the world (recovery) must drop the whole base — and every
-   park, whose witness cannot name such a change *)
-let bump t =
-  Wakeup.bump_all t.wakeup;
-  t.latent.lt_full <- true
+  Hashtbl.replace t.latent.lt_dirty pid ()
 
 (* A dependency edge joined the combined graph the topological order is
    maintained over.  Forward in a valid order: nothing to do.  Backward
@@ -976,37 +960,12 @@ let latent_hits t qconf r =
   Bitset.inter_nonempty qconf (future_of t r).f_bits
   || Bitset.inter_nonempty qconf r.pending_bits
 
-(* full rebuild: O(sources × targets) bitset probes; only after
-   structural invalidation ([lt_full]) or when the dirty set covers most
-   of the world anyway *)
-let latent_rebuild t lt =
-  Metrics.incr t.metrics "latent_rebuilds";
-  Hashtbl.reset lt.lt_qconf;
-  Hashtbl.reset lt.lt_out;
-  lt.lt_ends <- None;
-  let targets = List.filter live (index t) in
-  List.iter
-    (fun q ->
-      let qid = Process.pid q.proc in
-      let qconf = Bitset.create () in
-      latent_qconf_into t q ~into:qconf;
-      Hashtbl.replace lt.lt_qconf qid qconf;
-      let out = Hashtbl.create 8 in
-      List.iter
-        (fun r ->
-          let rid = Process.pid r.proc in
-          if rid <> qid && latent_hits t qconf r then Hashtbl.replace out rid ())
-        targets;
-      Hashtbl.replace lt.lt_out qid out)
-    (latent_sources t);
-  lt.lt_order <- Order_stale;
-  Hashtbl.reset lt.lt_dirty;
-  lt.lt_full <- false
-
 (* Patch the base for the dirty pids only.  Pass 1 re-derives each dirty
    pid's source side (closure + out-edges against all live targets, or
    removal if no longer a source); pass 2 reconciles each dirty pid's
-   target side against every source's closure.  Edges with no dirty
+   target side against every clean source's closure (a dirty source's
+   out-edges are pass 1's, already fresh — so a patch with every pid
+   dirty costs one from-scratch derivation).  Edges with no dirty
    endpoint are untouched: their predicate inputs did not change (that is
    the invalidation contract of [bump_pid]).  The order state machine
    absorbs the diff: removals keep a valid order valid, additions keep it
@@ -1069,7 +1028,7 @@ let latent_patch t lt =
           let is_target = live ps in
           Hashtbl.iter
             (fun qid qconf ->
-              if qid <> p then begin
+              if qid <> p && not (Hashtbl.mem lt.lt_dirty qid) then begin
                 let out = Hashtbl.find lt.lt_out qid in
                 if is_target && latent_hits t qconf ps then begin
                   if not (Hashtbl.mem out p) then begin
@@ -1085,7 +1044,6 @@ let latent_patch t lt =
             lt.lt_qconf)
     lt.lt_dirty;
   Hashtbl.reset lt.lt_dirty;
-  if !removed || !added <> [] then lt.lt_ends <- None;
   match lt.lt_order with
   | Order_stale -> ()
   | Order_cyclic -> if !removed then lt.lt_order <- Order_stale
@@ -1101,10 +1059,7 @@ let latent_patch t lt =
    admission (the common case inside a burst) *)
 let latent_base t =
   let lt = t.latent in
-  let dirty = Hashtbl.length lt.lt_dirty in
-  if (not lt.lt_full) && dirty > 0 && 2 * dirty > List.length (index t) then
-    lt.lt_full <- true;
-  if lt.lt_full then latent_rebuild t lt else if dirty > 0 then latent_patch t lt;
+  if Hashtbl.length lt.lt_dirty > 0 then latent_patch t lt;
   lt
 
 (* the live targets of the latent edges retired sources would still
@@ -1125,26 +1080,16 @@ let live_pids t pids =
 let witness_payload t pid witness =
   live_pids t (List.sort_uniq compare (List.filter (fun q -> q <> pid) witness))
 
-(* sorted endpoint set of the base edges (memoized): a full delay list
-   holds the endpoints of [new_edges @ latent] as blockers, and the
-   base contribution to that set only changes when the base does —
-   flattening and sorting the full edge list per delayed admission was
-   the dominant cost of the whole admission path at scale *)
+(* the endpoints of the base edges, unsorted and with repeats: a full
+   delay list holds the endpoints of [new_edges @ latent] as blockers,
+   sorted once by its caller.  Folded on demand — only the stall check,
+   the [Checked] engine and a [Base_cyclic] delay read it. *)
 let latent_endpoints lt =
-  match lt.lt_ends with
-  | Some e -> e
-  | None ->
-      let h = Hashtbl.create 64 in
-      Hashtbl.iter
-        (fun q out ->
-          if Hashtbl.length out > 0 then begin
-            Hashtbl.replace h q ();
-            Hashtbl.iter (fun r () -> Hashtbl.replace h r ()) out
-          end)
-        lt.lt_out;
-      let e = List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) h []) in
-      lt.lt_ends <- Some e;
-      e
+  Hashtbl.fold
+    (fun q out acc ->
+      if Hashtbl.length out = 0 then acc
+      else q :: Hashtbl.fold (fun r () acc -> r :: acc) out acc)
+    lt.lt_out []
 
 (* combined-graph adjacency, walked live: stored dependency edges ∪ base
    latent edges *)
@@ -1305,13 +1250,12 @@ let admission_decision ?(full = false) t pid act =
         List.iter (fun k -> Bitset.union ~into:b (Conflict.Compiled.row t.cspec k)) ks;
         b
   in
-  let others = List.filter (fun q -> Process.pid q.proc <> pid) (index t) in
-  let busy q = live q && busy_conflicts_bits t q ~row:crow in
+  let busy q = Process.pid q.proc <> pid && live q && busy_conflicts_bits t q ~row:crow in
   (* Busy is checked first: while the first blocker is unchanged it still
      busy-conflicts, so the delay holds whatever else moves *)
-  match if member_admitted then None else List.find_opt busy others with
+  match if member_admitted then None else List.find_opt busy (index t) with
   | Some b ->
-      let blockers = if full then List.filter busy others else [ b ] in
+      let blockers = if full then List.filter busy (index t) else [ b ] in
       let pids = List.map (fun q -> Process.pid q.proc) in
       (Delay (pids blockers), [], Obs.Busy, Some (pids [ b ]))
   | None ->
@@ -1324,11 +1268,12 @@ let admission_decision ?(full = false) t pid act =
             (* committed processes still constrain the serialization order;
                aborted ones left no effects *)
             if
-              (not_aborted q && Bitset.inter_nonempty crow q.occ_bits)
-              || (t.cfg.order = Weak && live q && placed_conflicts_bits q ~row:crow)
+              qid <> pid
+              && ((not_aborted q && Bitset.inter_nonempty crow q.occ_bits)
+                 || (t.cfg.order = Weak && live q && placed_conflicts_bits q ~row:crow))
             then Some (qid, pid)
             else None)
-          others
+          (index t)
     in
     let admit_reason () = if new_edges = [] then Obs.Clear else Obs.Ordered in
     (* Latent edges (Section 3.5): an occurrence of [q] conflicting with a
@@ -1373,7 +1318,7 @@ let admission_decision ?(full = false) t pid act =
         in
         ( latent_would_cycle t c ~pid (new_edges @ extra_out @ extra_in),
           (* endpoint set only, materialized for blocker reporting on the
-             Delay path; the base contribution is memoized *)
+             full-blockers Delay paths *)
           lazy
             (latent_endpoints c
             @ List.concat_map (fun (i, j) -> [ i; j ]) (extra_out @ extra_in)
@@ -1398,14 +1343,14 @@ let admission_decision ?(full = false) t pid act =
         if t.cfg.mode = Naive_sr then
           (* serializability-only: admit immediately, never gate on recovery *)
           (Admit_invoke, new_edges, admit_reason (), None)
+        else if t.cfg.exact_admission && not (exact_ok t a) then
+          ( Delay (live_pids t (List.sort_uniq compare (List.map fst new_edges))),
+            [],
+            Obs.Exact_reject,
+            None )
         else if Activity.non_compensatable a && not t.no_lemma1 then begin
           let preds = lemma1_preds t pid new_edges in
-          if t.cfg.exact_admission && not (exact_ok t a) then
-            ( Delay (live_pids t (List.sort_uniq compare (List.map fst new_edges))),
-              [],
-              Obs.Exact_reject,
-              None )
-          else if preds = [] then (Admit_invoke, new_edges, admit_reason (), None)
+          if preds = [] then (Admit_invoke, new_edges, admit_reason (), None)
           else
             match t.cfg.mode with
             | Conservative ->
@@ -1420,11 +1365,6 @@ let admission_decision ?(full = false) t pid act =
                 else (Admit_prepare, new_edges, Obs.Deferred_prepare, None)
             | Naive_sr -> assert false (* admitted before the Lemma-1 gate *)
         end
-        else if t.cfg.exact_admission && not (exact_ok t a) then
-          ( Delay (live_pids t (List.sort_uniq compare (List.map fst new_edges))),
-            [],
-            Obs.Exact_reject,
-            None )
         else (Admit_invoke, new_edges, admit_reason (), None)
 
 (* The pre-incremental admission path, kept verbatim (string-keyed
@@ -1603,6 +1543,8 @@ module Reference = struct
         (Delay blockers, [])
       end
       else if t.cfg.mode = Naive_sr then (Admit_invoke, new_edges)
+      else if t.cfg.exact_admission && not (exact_ok t a) then
+        (Delay (List.sort_uniq compare (List.map fst new_edges)), [])
       else if Activity.non_compensatable a && not t.no_lemma1 then begin
         let preds =
           List.sort_uniq compare
@@ -1612,9 +1554,7 @@ module Reference = struct
                   if status t i = Schedule.Committed then None else Some i)
                 new_edges)
         in
-        if t.cfg.exact_admission && not (exact_ok t a) then
-          (Delay (List.sort_uniq compare (List.map fst new_edges)), [])
-        else if preds = [] then (Admit_invoke, new_edges)
+        if preds = [] then (Admit_invoke, new_edges)
         else
           match t.cfg.mode with
           | Conservative -> (Delay preds, [])
@@ -1624,8 +1564,6 @@ module Reference = struct
                 new_edges )
           | Naive_sr -> assert false (* admitted before the Lemma-1 gate *)
       end
-      else if t.cfg.exact_admission && not (exact_ok t a) then
-        (Delay (List.sort_uniq compare (List.map fst new_edges)), [])
       else (Admit_invoke, new_edges)
     end
 end
@@ -2750,7 +2688,6 @@ let register t ?(args_of = fun _ -> Value.Nil) ?(groups = []) proc =
     invalid_arg (Printf.sprintf "Scheduler.submit: duplicate process %d" pid);
   (* intern every service of the process once, so the hot admission path
      never touches a string again *)
-  let matrix_size = Conflict.Compiled.size t.cspec in
   let svc_ids = Hashtbl.create 16 in
   List.iter
     (fun (a : Activity.t) ->
@@ -2778,20 +2715,16 @@ let register t ?(args_of = fun _ -> Value.Nil) ?(groups = []) proc =
     }
   in
   Hashtbl.replace t.procs pid ps;
-  (* A genuinely new service grew the conflict matrix: [intern] sets bits
-     in *existing* rows, so every cached closure snapshot is stale — full
-     invalidation.  Otherwise the newcomer only contributes its own
-     source/target side (dirty) and takes the last topological position
-     (it has no edges yet, so appending keeps a valid order valid). *)
-  if Conflict.Compiled.size t.cspec > matrix_size then bump t
-  else begin
-    bump_pid t pid;
-    match t.latent.lt_order with
-    | Order_valid pos ->
-        Hashtbl.replace pos pid t.latent.lt_next_pos;
-        t.latent.lt_next_pos <- t.latent.lt_next_pos + 1
-    | Order_stale | Order_cyclic -> ()
-  end;
+  (* The newcomer only contributes its own source/target side (dirty) —
+     a service it interns is in no conflict pair, so no cached closure
+     changes — and takes the last topological position (it has no edges
+     yet, so appending keeps a valid order valid). *)
+  bump_pid t pid;
+  (match t.latent.lt_order with
+  | Order_valid pos ->
+      Hashtbl.replace pos pid t.latent.lt_next_pos;
+      t.latent.lt_next_pos <- t.latent.lt_next_pos + 1
+  | Order_stale | Order_cyclic -> ());
   (* O(1): both views are rebuilt, sorted, at their next read *)
   t.all_asc <- None;
   t.idx <- ps :: t.idx;
@@ -2998,9 +2931,9 @@ let recover ?(config = default_config) ?(amnesia = false) ?tracer ?(groups = [])
             let groups = groups_of p.pid and proc = Execution.proc p.exec in
             validate_exn t ~groups proc;
             let ps = register t ~groups proc in
-            bump t;
             ps.exec <- p.exec;
             ps.phase <- Recovering None;
+            bump_pid t p.pid;
             log t (Wal.Abort_requested p.pid);
             (p.pid, Execution.completion p.exec))
           plan.interrupted
@@ -3042,7 +2975,7 @@ let recover ?(config = default_config) ?(amnesia = false) ?tracer ?(groups = [])
 let disable_lemma1 t = t.no_lemma1 <- true
 let ignore_wakeup_witnesses t = Wakeup.ignore_witnesses t.wakeup
 
-(* Self-check for the incremental latent base (tests only): rebuild the
+(* Self-check for the incremental latent base (tests only): derive the
    base over the unretired sources from scratch with the one-shot
    algorithm and compare edge sets, source sets, closures, the retired
    closure union, and the order state's cyclicity verdict against a

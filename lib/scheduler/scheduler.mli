@@ -285,9 +285,9 @@ val metrics : t -> Tpm_sim.Metrics.t
       activity asked, whatever the engine);
     - ["admission_parked"]: processes the wake loop skipped because
       their park held — every enabled activity was delayed and no pid of
-      the delay's witness, and no structural invalidation or
-      dependency-edge removal, changed since.  Always [0] under the
-      [Reference] engine, which computes no witnesses;
+      the delay's witness, and no dependency-edge removal, changed
+      since.  Always [0] under the [Reference] engine, which computes
+      no witnesses;
     - ["admission_delays"]: delayed processes per wake pass, parked ones
       included — the count a full rescan would give, so it is identical
       across engines.
@@ -394,11 +394,11 @@ val probe_admission : t -> admission_engine -> pid:int -> act:int -> unit
     not an activity of the process. *)
 
 val latent_self_check : t -> (unit, string) result
-(** Testing hook for the incrementally maintained latent base: rebuilds
+(** Testing hook for the incrementally maintained latent base: derives
     the candidate-independent base (edges, per-source conflict closures)
-    from scratch with the one-shot algorithm and compares it against the
-    maintained state, including the combined-graph order's cyclicity
-    verdict.  [Error msg] names the first divergence. *)
+    from scratch — the only place that derivation exists — and compares
+    it against the state the dirty-set patch maintains, including the
+    combined-graph order's cyclicity verdict.  [Error msg] names the first divergence. *)
 
 val disable_lemma1 : t -> unit
 (** Mutation hook, tests only: from now on the scheduler skips the

@@ -4,8 +4,8 @@
    parked with a witness: pids whose unchanged state proves every one of
    those delays still holds.  The scheduler stamps a per-pid sequence
    number at every admission-relevant mutation (the same sites that mark
-   the latent base dirty) and a global one at every structural
-   invalidation or dependency-edge removal.  A park holds while neither
+   the latent base dirty) and a global one at every dependency-edge
+   removal.  A park holds while neither
    any witness pid nor the global stamp moved since it was taken; the
    wake loop then skips the process instead of re-asking admission. *)
 
@@ -16,7 +16,7 @@ type parked = {
 
 type t = {
   mutable seq : int;
-  mutable global : int;  (* [seq] at the last structural invalidation *)
+  mutable global : int;  (* [seq] at the last dependency-edge removal *)
   stamps : (int, int) Hashtbl.t;  (* pid -> [seq] at its last mutation *)
   parked : (int, parked) Hashtbl.t;
   mutable ignore_witnesses : bool;  (* mutation hook, tests only *)

@@ -4,8 +4,7 @@
     is {e parked} with a witness: a set of pids whose unchanged state
     proves every one of those delays still holds.  The scheduler stamps
     a pid at every mutation of its admission-relevant state ({!bump_pid})
-    and stamps the world at every structural invalidation or
-    dependency-edge removal ({!bump_all}).  A park {!holds} while neither
+    and stamps the world at every dependency-edge removal ({!bump_all}).  A park {!holds} while neither
     a witness pid nor the world was stamped since it was taken; the wake
     loop skips the process meanwhile instead of re-asking admission. *)
 

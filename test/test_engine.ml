@@ -1,6 +1,7 @@
 (* The incremental admission engine's building blocks:
    - the compiled conflict bitmatrix agrees with the string-keyed spec
-     (all pairs, self-conflicts, effect-free marks, late interning);
+     (all pairs, self-conflicts, effect-free marks, late interning), and
+     a late intern leaves every existing row unchanged;
    - dependency tracking ([Deps]) stores every edge it accepts, and
      reports a cycle exactly when a Digraph oracle finds one among the
      stored edges, across checked and unchecked inserts, aborts and
@@ -39,8 +40,24 @@ let compiled_agrees =
     arb_seed (fun seed ->
       let spec = spec_of_seed seed in
       let c = Conflict.Compiled.make spec in
+      (* the rows of the services [make] interned, before any late intern *)
+      let early =
+        List.filter_map
+          (fun s ->
+            Option.map
+              (fun i -> (s, i, Tpm_core.Bitset.elements (Conflict.Compiled.row c i)))
+              (Conflict.Compiled.find_opt c s))
+          (Array.to_list services)
+      in
       (* every service of the pool, interned — some lazily, after [make] *)
       let ids = Array.map (fun s -> Conflict.Compiled.intern c s) services in
+      (* a late intern leaves every existing row as it was: the scheduler's
+         cached conflict closures rely on it *)
+      List.iter
+        (fun (s, i, row) ->
+          if Tpm_core.Bitset.elements (Conflict.Compiled.row c i) <> row then
+            QCheck.Test.fail_reportf "row(%s) changed by a late intern" s)
+        early;
       Array.iteri
         (fun i s ->
           Array.iteri

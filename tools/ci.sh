@@ -100,10 +100,9 @@ dune exec tools/crashsweep.exe -- --pages-only
 # invariants, decision equivalence with a single-engine run, and recovery
 # of every shard from its own on-disk WAL ("wal.log.shard<i>")
 dune exec tools/stress.exe -- --shards 4 --domains 2 --seeds 41-55 --procs 12 --check-admission
-# mixed-churn: staggered submissions with random abort requests, the
-# incrementally maintained latent base (dirty-set invalidation, patched
-# topological order) cross-checked against the from-scratch algorithm at
-# every time slice
+# mixed-churn: staggered submissions with random abort requests; the
+# latent base the dirty-set patch maintains (and its patched topological
+# order) is checked against the from-scratch oracle at every time slice
 dune exec tools/stress.exe -- --churn --seeds 41-55 --check-admission
 # p16 smoke: sharded admission must hold p95 under 100us at 1k processes
 # (8 conflict components), and beat the single engine's e2e throughput by

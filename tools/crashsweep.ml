@@ -6,9 +6,11 @@
    and that the recovered run passes {!Tpm_oracle.Oracle.run} — with
    presumed-abort soundness against the crash image and store
    explainability.  Every append crash point also checks that recovery
-   replays its own log.  The amnesia, disk, server, page and composite
-   axes below crash at other points and judge the same way, except where
-   noted.
+   replays its own log, and every recovered scheduler that runs checks
+   its latent admission base against the from-scratch derivation
+   ({!Scheduler.latent_self_check}) right after recovery and after its
+   run.  The amnesia, disk, server, page and composite axes below crash
+   at other points and judge the same way, except where noted.
 
    Runs as part of `dune runtest` (see tools/dune); knobs are compiled in
    and kept small so the sweep stays fast. *)
@@ -107,6 +109,13 @@ let check_rerecovery ~complain ~config ~spec ~procs ~seed records t2 =
       if Schedule.events (Scheduler.history t3) <> Schedule.events (Scheduler.history t2) then
         complain "re-recovery rebuilt a different history"
 
+(* the recovered scheduler's latent base against its from-scratch
+   derivation *)
+let check_latent ~complain t =
+  match Scheduler.latent_self_check t with
+  | Ok () -> ()
+  | Error msg -> complain ("LATENT-DIVERGENCE " ^ msg)
+
 (* recover from [records] with the same subsystems (they survive the
    crash), finish, and judge the recovered run with the full oracle
    suite: presumed-abort soundness against [records], and stores
@@ -115,7 +124,9 @@ let check_rerecovery ~complain ~config ~spec ~procs ~seed records t2 =
    [amnesia] presumed-abort soundness is not judged: a durable decision
    no participant saw is legitimately presumed aborted once the
    coordinator's records are lost.  [rerecover] also checks that
-   recovery replays its own log. *)
+   recovery replays its own log.  The recovered scheduler's latent base
+   must equal its from-scratch derivation right after recovery and again
+   after the run. *)
 let recover_and_check ?(groups = []) ?(amnesia = false) ?(rerecover = false) ~complain ~config
     ~spec ~rms ~procs ~seed records =
   match
@@ -123,8 +134,10 @@ let recover_and_check ?(groups = []) ?(amnesia = false) ?(rerecover = false) ~co
   with
   | Error e -> complain ("recovery failed: " ^ e)
   | Ok t2 ->
+      check_latent ~complain t2;
       if rerecover then check_rerecovery ~complain ~config ~spec ~procs ~seed records t2;
       Scheduler.run ~until:horizon t2;
+      check_latent ~complain t2;
       let before = if amnesia then None else Some records in
       let violations = Oracle.run ~fresh:(replay_rms seed) ?before t2 in
       List.iter complain violations;
@@ -452,7 +465,10 @@ let disk_sweep ?abort ~seed ~mode_name ~mode ~stride ~flip_stride () =
                  records survive at the subsystems by construction) *)
               (match Scheduler.recover ~config ~spec ~rms ~procs report.Wal.records with
               | Error e -> complain ("recovery from lying-fsync image failed: " ^ e)
-              | Ok t2 -> Scheduler.run ~until:horizon t2)))
+              | Ok t2 ->
+                  check_latent ~complain t2;
+                  Scheduler.run ~until:horizon t2;
+                  check_latent ~complain t2)))
     lie_ks;
   Format.printf
     "crashsweep: seed=%d mode=%s disk axis: %d torn (%d with a lazy tail) + %d flip + %d \
