@@ -170,11 +170,6 @@ let validate proc groups =
         (fun acc g -> match acc with Error _ -> acc | Ok () -> check_group g)
         (Ok ()) groups
 
-let validate_exn proc groups =
-  match validate proc groups with
-  | Ok () -> ()
-  | Error msg -> invalid_arg (Printf.sprintf "Compose: process %d: %s" (Process.pid proc) msg)
-
 (* the union footprint the group admits with: its members' services *)
 let services proc g =
   List.map (fun n -> (Process.find proc n).Activity.service) g.members

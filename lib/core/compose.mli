@@ -65,9 +65,6 @@ val validate : Process.t -> group list -> (unit, string) result
     [≪]-path between two members (prec-convexity); no outside choice point
     branches into the group. *)
 
-val validate_exn : Process.t -> group list -> unit
-(** @raise Invalid_argument on a violation. *)
-
 val services : Process.t -> group -> string list
 (** The union admission footprint: the members' services, deduplicated. *)
 

@@ -562,8 +562,6 @@ let rms t =
     (fun a b -> compare (Rm.name a) (Rm.name b))
     (Hashtbl.fold (fun _ rm acc -> rm :: acc) t.rms [])
 
-let subsystems t = List.map Rm.name (rms t)
-
 let notify_subsys t rm ~ok =
   match t.subsys_observer with
   | None -> ()
@@ -2670,17 +2668,48 @@ and finish_terminal t ps =
 
 (* ------------------------------------------------------------------ *)
 
-(* The checks [submit] runs before it schedules the arrival, so that a
-   bad submission raises from the call itself ([recover] runs them on
-   every process it re-registers).  The duplicate-pid check is
-   [register]'s: a pending duplicate is only visible once the arrival
-   fires. *)
+(* Every check of a submitted process, in one place: [submit] raises on
+   the first failure before it schedules the arrival (and [recover] on
+   every process it re-registers), and the serving layer turns it into a
+   typed reject.  A duplicate pid is caught here once the first arrival
+   has fired; a pending duplicate is only visible to [register]. *)
+type invalid =
+  | Id_out_of_range
+  | Duplicate_pid
+  | Bad_groups of string
+  | Unknown_subsystem of string
+  | Unknown_service of string
+
+let invalid_label = function
+  | Id_out_of_range -> "id-out-of-range"
+  | Duplicate_pid -> "duplicate-pid"
+  | Bad_groups msg -> "bad-groups:" ^ msg
+  | Unknown_subsystem ss -> "unknown-subsystem:" ^ ss
+  | Unknown_service svc -> "unknown-service:" ^ svc
+
+let check_submission t ~groups proc =
+  if not (ids_in_range proc) then Some Id_out_of_range
+  else if Hashtbl.mem t.procs (Process.pid proc) then Some Duplicate_pid
+  else
+    match Compose.validate proc groups with
+    | Error msg -> Some (Bad_groups msg)
+    | Ok () ->
+        List.find_map
+          (fun (a : Activity.t) ->
+            match Hashtbl.find_opt t.rms a.subsystem with
+            | None -> Some (Unknown_subsystem a.subsystem)
+            | Some rm -> (
+                match Tpm_subsys.Service.Registry.find_opt (Rm.registry rm) a.service with
+                | None -> Some (Unknown_service a.service)
+                | Some _ -> None))
+          (Process.activities proc)
+
 let validate_exn t ~groups proc =
-  if not (ids_in_range proc) then
-    invalid_arg
-      (Printf.sprintf "Scheduler.submit: process %d has an id out of range" (Process.pid proc));
-  Compose.validate_exn proc groups;
-  List.iter (fun a -> ignore (rm_of t a)) (Process.activities proc)
+  match check_submission t ~groups proc with
+  | None -> ()
+  | Some e ->
+      invalid_arg
+        (Printf.sprintf "Scheduler.submit: process %d: %s" (Process.pid proc) (invalid_label e))
 
 let register t ?(args_of = fun _ -> Value.Nil) ?(groups = []) proc =
   let pid = Process.pid proc in

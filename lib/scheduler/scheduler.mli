@@ -208,17 +208,32 @@ val submit :
     claimed) atomically at the first member's admission; the remaining
     members then dispatch without further parent-level admission, driven
     by the process's own precedence order (the inner engine).
-    @raise Invalid_argument from [submit] itself on ids outside
-    {!ids_in_range}, activities whose subsystem is unknown, or an
-    ill-formed grouping ({!Tpm_core.Compose.validate}).  A duplicate pid
-    raises from {!run} when the arrival fires: a pending duplicate
-    submission is only visible then. *)
+    @raise Invalid_argument from [submit] itself when
+    {!check_submission} finds the process invalid.  A duplicate pid
+    whose first arrival is still pending raises from {!run} when the
+    second arrival fires: only then is it visible. *)
 
-val ids_in_range : Tpm_core.Process.t -> bool
-(** The pid lies in [\[0, max_int / 1_000_000)] and every activity id in
-    [\[0, 1_000_000)] — the range in which the scheduler's packed
-    activity tokens decode back to the same pair.  The server rejects a
-    submission outside it at the front door. *)
+(** Why a submitted process cannot run. *)
+type invalid =
+  | Id_out_of_range
+      (** the pid lies outside [\[0, max_int / 1_000_000)] or an activity
+          id outside [\[0, 1_000_000)]: the scheduler's packed activity
+          tokens would not decode back to the same pair *)
+  | Duplicate_pid  (** a process with this pid has already arrived *)
+  | Bad_groups of string  (** an ill-formed grouping ({!Tpm_core.Compose.validate}) *)
+  | Unknown_subsystem of string  (** an activity names no registered subsystem *)
+  | Unknown_service of string
+      (** an activity names a service its subsystem does not implement *)
+
+val invalid_label : invalid -> string
+(** ["id-out-of-range"], ["duplicate-pid"], ["bad-groups:<why>"],
+    ["unknown-subsystem:<ss>"] or ["unknown-service:<svc>"]. *)
+
+val check_submission :
+  t -> groups:Tpm_core.Compose.group list -> Tpm_core.Process.t -> invalid option
+(** Every check {!submit} runs, as a predicate: [None] when the process
+    may be submitted.  The serving layer rejects untrusted submissions
+    on it at the front door. *)
 
 val request_abort : t -> ?at:float -> int -> unit
 (** External abort [A_i] at virtual time [at] (default: now): the process
@@ -244,10 +259,6 @@ val service_pressure : t -> string -> int
     committed occurrence (tested against the cached conflict closure) or
     a conflicting in-flight invocation.  The serving layer's saturation
     probe for the [Degrade] overload policy. *)
-
-val subsystems : t -> string list
-(** Names of the registered resource managers, sorted — the server
-    validates untrusted submissions against it before admission. *)
 
 val rms : t -> Tpm_subsys.Rm.t list
 (** The registered resource managers, sorted by name. *)

@@ -36,9 +36,7 @@ type reject_reason =
   | Breaker_open of string
   | Saturated
   | Draining
-  | Duplicate_pid
-  | Unknown_subsystem of string
-  | Id_out_of_range
+  | Invalid of Scheduler.invalid
 
 let reason_label = function
   | Window_full -> "window-full"
@@ -47,9 +45,7 @@ let reason_label = function
   | Breaker_open ss -> "breaker-open:" ^ ss
   | Saturated -> "saturated"
   | Draining -> "draining"
-  | Duplicate_pid -> "duplicate-pid"
-  | Unknown_subsystem ss -> "unknown-subsystem:" ^ ss
-  | Id_out_of_range -> "id-out-of-range"
+  | Invalid i -> Scheduler.invalid_label i
 
 type decision =
   | Admitted
@@ -113,7 +109,6 @@ type entry = {
 type t = {
   cfg : config;
   sched : Scheduler.t;
-  subsystems : (string, unit) Hashtbl.t;  (* valid routing targets *)
   breakers : (string, breaker) Hashtbl.t;
   mutable q : entry list;  (* FIFO, arrival order; bounded by queue_capacity *)
   mutable qlen : int;
@@ -139,7 +134,6 @@ let create ?(config = default_config) sched =
     {
       cfg = config;
       sched;
-      subsystems = Hashtbl.create 8;
       breakers = Hashtbl.create 8;
       q = [];
       qlen = 0;
@@ -158,7 +152,6 @@ let create ?(config = default_config) sched =
       hook = None;
     }
   in
-  List.iter (fun ss -> Hashtbl.replace t.subsystems ss ()) (Scheduler.subsystems sched);
   (* the breakers feed on the scheduler's availability signal: consecutive
      Unavailable/timeout answers open, any success closes *)
   Scheduler.set_subsystem_observer sched (fun ~subsystem ~ok ->
@@ -258,13 +251,6 @@ let occupancy t =
   n
 
 (* --- admission predicates --- *)
-
-let unknown_subsystem t proc =
-  List.find_map
-    (fun (a : Activity.t) ->
-      if Hashtbl.mem t.subsystems a.Activity.subsystem then None
-      else Some a.Activity.subsystem)
-    (Process.activities proc)
 
 (* First open breaker on the preferred execution path.  Reading the
    breaker doubles as the half-open transition: an elapsed cooldown turns
@@ -466,11 +452,10 @@ let offer t ?deadline proc =
   emit t (Obs.Arrival { pid });
   let decision =
     if t.draining || crashed t then reject t pid Draining
-    else if Hashtbl.mem t.seen pid then reject t pid Duplicate_pid
-    else if not (Scheduler.ids_in_range proc) then reject t pid Id_out_of_range
+    else if Hashtbl.mem t.seen pid then reject t pid (Invalid Scheduler.Duplicate_pid)
     else
-      match unknown_subsystem t proc with
-      | Some ss -> reject t pid (Unknown_subsystem ss)
+      match Scheduler.check_submission t.sched ~groups:[] proc with
+      | Some i -> reject t pid (Invalid i)
       | None -> (
           let window_ok = occupancy t < t.cfg.max_live in
           let blocked = breaker_block t proc in
@@ -553,17 +538,21 @@ let offer_text t text =
            (fun proc -> (Process.pid proc, offer t proc))
            doc.Lang.processes)
 
+(* The largest document the wire protocol buffers.  A longer one is
+   answered [error document-too-large] and skipped up to its [.] line, so
+   no client can make the server hold more than this much of its input. *)
+let max_document_bytes = 1 lsl 20
+
 let handle_connection t fd =
-  let ic = Unix.in_channel_of_descr fd in
   let oc = Unix.out_channel_of_descr fd in
   let send line =
     output_string oc line;
     output_char oc '\n'
   in
-  let buf = Buffer.create 256 in
+  let doc = Buffer.create 256 in
   let answer () =
-    let text = Buffer.contents buf in
-    Buffer.clear buf;
+    let text = Buffer.contents doc in
+    Buffer.clear doc;
     (match offer_text t text with
     | Error e -> send ("error " ^ e)
     | Ok decisions ->
@@ -593,15 +582,68 @@ let handle_connection t fd =
     send ".";
     flush oc
   in
+  (* [doc] holds the document's complete lines, [line] the one being
+     read.  Once the two together pass the cap, [doc] is dropped and
+     [line] keeps at most its first two bytes: enough to recognise the
+     [.] line that ends the oversized document. *)
+  let line = Buffer.create 256 in
+  let oversized = ref false in
+  let overflow () =
+    oversized := true;
+    Buffer.reset doc;
+    let head = Buffer.sub line 0 (min 2 (Buffer.length line)) in
+    Buffer.reset line;
+    Buffer.add_string line head
+  in
+  let end_line () =
+    if Buffer.length line = 1 && Buffer.nth line 0 = '.' then begin
+      Buffer.clear line;
+      if !oversized then begin
+        oversized := false;
+        send "error document-too-large";
+        send ".";
+        flush oc
+      end
+      else answer ()
+    end
+    else begin
+      if not !oversized then begin
+        Buffer.add_buffer doc line;
+        Buffer.add_char doc '\n';
+        if Buffer.length doc > max_document_bytes then overflow ()
+      end;
+      Buffer.clear line
+    end
+  in
+  let add_bytes chunk pos len =
+    if !oversized then Buffer.add_subbytes line chunk pos (min len (2 - Buffer.length line))
+    else begin
+      Buffer.add_subbytes line chunk pos len;
+      if Buffer.length doc + Buffer.length line > max_document_bytes then overflow ()
+    end
+  in
+  let chunk = Bytes.create 65536 in
+  let rec scan pos stop =
+    if pos < stop then
+      match Bytes.index_from_opt chunk pos '\n' with
+      | Some nl when nl < stop ->
+          add_bytes chunk pos (nl - pos);
+          end_line ();
+          scan (nl + 1) stop
+      | _ -> add_bytes chunk pos (stop - pos)
+  in
   let rec loop () =
-    match input_line ic with
-    | exception End_of_file -> if Buffer.length buf > 0 then answer ()
-    | "." ->
-        answer ();
-        loop ()
-    | line ->
-        Buffer.add_string buf line;
-        Buffer.add_char buf '\n';
+    match Unix.read fd chunk 0 (Bytes.length chunk) with
+    | 0 ->
+        (* end of input ends the last line and the last document *)
+        if Buffer.length line > 0 then end_line ();
+        if !oversized then begin
+          send "error document-too-large";
+          send "."
+        end
+        else if Buffer.length doc > 0 then answer ()
+    | n ->
+        scan 0 n;
         loop ()
   in
   loop ();

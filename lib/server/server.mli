@@ -44,15 +44,12 @@ type reject_reason =
   | Breaker_open of string  (** a required subsystem's circuit breaker is open *)
   | Saturated  (** [Degrade]: no admissible variant, conflict set saturated *)
   | Draining  (** intake stopped by {!drain} *)
-  | Duplicate_pid
-  | Unknown_subsystem of string
-      (** the submission names a subsystem the server does not run
-          (malformed/unroutable input — caught at the front door so it can
-          never detonate inside a simulation event) *)
-  | Id_out_of_range
-      (** the pid or an activity id lies outside
-          {!Tpm_scheduler.Scheduler.ids_in_range}: the scheduler could
-          not tell its activities apart *)
+  | Invalid of Tpm_scheduler.Scheduler.invalid
+      (** the submission fails {!Tpm_scheduler.Scheduler.check_submission}
+          (a pid seen before, an id the scheduler cannot pack, a subsystem
+          or service nobody runs), or reuses a pid still queued here —
+          caught at the front door so it can never detonate inside a
+          simulation event *)
 
 val reason_label : reject_reason -> string
 
@@ -169,5 +166,7 @@ val handle_connection : t -> Unix.file_descr -> unit
     answered with one [decision <pid> <label>] line per process, then the
     simulation runs to quiescence and a [status <pid> <committed|aborted>]
     line per admitted process plus one [counters ...] summary line are
-    sent.  Returns at EOF.  The [tpm serve] loop and the socketpair tests
-    drive this directly. *)
+    sent.  A document longer than 1 MiB is answered [error
+    document-too-large] and skipped up to its ["."] line; the connection
+    then serves the next one.  Returns at EOF.  The [tpm serve] loop and
+    the socketpair tests drive this directly. *)

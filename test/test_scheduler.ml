@@ -557,13 +557,10 @@ let test_submit_rejects_bad_process () =
   let t, _ = cim_setup "p1" in
   let valid = Cim.construction ~pid:1 ~part:"p1" in
   let a1 = Process.find valid 1 in
-  let single ~pid ~act ~subsystem =
+  let single ?(service = a1.Activity.service) ~pid ~act ~subsystem () =
     Process.make_exn ~pid
       ~activities:
-        [
-          Activity.make ~proc:pid ~act ~service:a1.Activity.service ~kind:Activity.Compensatable
-            ~subsystem ();
-        ]
+        [ Activity.make ~proc:pid ~act ~service ~kind:Activity.Compensatable ~subsystem () ]
       ~prec:[] ~pref:[]
   in
   let raises name f =
@@ -572,9 +569,12 @@ let test_submit_rejects_bad_process () =
     | exception Invalid_argument _ -> ()
   in
   raises "act out of range" (fun () ->
-      Scheduler.submit t (single ~pid:2 ~act:1_000_001 ~subsystem:a1.Activity.subsystem));
+      Scheduler.submit t (single ~pid:2 ~act:1_000_001 ~subsystem:a1.Activity.subsystem ()));
   raises "unknown subsystem" (fun () ->
-      Scheduler.submit t (single ~pid:3 ~act:1 ~subsystem:"nowhere"));
+      Scheduler.submit t (single ~pid:3 ~act:1 ~subsystem:"nowhere" ()));
+  raises "unknown service" (fun () ->
+      Scheduler.submit t
+        (single ~service:"nosuch" ~pid:5 ~act:1 ~subsystem:a1.Activity.subsystem ()));
   (* activity 2 lies on the path 1 -> 2 -> 3 but outside the group *)
   raises "ill-formed grouping" (fun () ->
       Scheduler.submit t ~groups:[ { Compose.gname = "g"; members = [ 1; 3 ] } ] valid);

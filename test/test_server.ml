@@ -350,13 +350,21 @@ let contains needle hay =
   go 0
 
 (* One wire-protocol connection: send [request], serve it to EOF, and
-   return everything the server replied. *)
+   return everything the server replied.  The client writes from its own
+   domain, so a request larger than the socket buffer cannot block it. *)
 let converse srv request =
   let client, server = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  let n = Unix.write_substring client request 0 (String.length request) in
-  check Alcotest.int "request written" (String.length request) n;
-  Unix.shutdown client Unix.SHUTDOWN_SEND;
+  let writer =
+    Domain.spawn (fun () ->
+        let rec write pos =
+          if pos < String.length request then
+            write (pos + Unix.write_substring client request pos (String.length request - pos))
+        in
+        write 0;
+        Unix.shutdown client Unix.SHUTDOWN_SEND)
+  in
   Server.handle_connection srv server;
+  Domain.join writer;
   Unix.close server;
   let buf = Buffer.create 512 in
   let chunk = Bytes.create 4096 in
@@ -514,6 +522,105 @@ let test_wire_ids_out_of_range () =
     (contains "counters offered=5 admitted=1 rejected=4" reply);
   finish_accounting srv
 
+(* A document naming a service its subsystem does not implement is
+   shed at the front door.  Admitted, it would raise inside the
+   simulation on every later [run], so no later process could commit
+   and [drain] could never seal the log. *)
+let test_wire_unknown_service () =
+  let srv = make_server ~policy:Server.Reject ~max_live:8 () in
+  let doc =
+    "process 1 {\n  1 svc11 pivot @ss1\n}\n.\nprocess 2 {\n  1 svc1 retriable @ss1\n}\n.\n"
+  in
+  let reply = converse srv doc in
+  check Alcotest.bool "typed reject" true
+    (contains "decision 1 reject:unknown-service:svc11" reply);
+  check Alcotest.bool "next document admitted" true (contains "decision 2 admit" reply);
+  check Alcotest.bool "next document committed" true (contains "status 2 committed" reply);
+  Server.drain srv;
+  let sched = Server.scheduler srv in
+  check Alcotest.bool "drained" true (Scheduler.finished sched);
+  check Alcotest.int "log sealed" 0 (Wal.pending (Scheduler.wal sched));
+  finish_accounting srv
+
+(* A document past the server's 1 MiB cap is answered with an error
+   and skipped up to its [.] line; the same connection then serves the
+   next document. *)
+let test_wire_document_too_large () =
+  let srv = make_server ~policy:Server.Reject ~max_live:8 () in
+  let line = "# " ^ String.make 1022 'x' ^ "\n" in
+  let huge = "process 1 {\n" ^ String.concat "" (List.init 2048 (fun _ -> line)) ^ "}\n.\n" in
+  check Alcotest.bool "2 MiB document" true (String.length huge > 2 * 1024 * 1024);
+  let reply = converse srv (huge ^ "process 2 {\n  1 svc1 retriable @ss1\n}\n.\n") in
+  check Alcotest.bool "too-large error" true (contains "error document-too-large\n.\n" reply);
+  check Alcotest.bool "nothing offered for it" false (contains "decision 1" reply);
+  check Alcotest.bool "next document admitted" true (contains "decision 2 admit" reply);
+  check Alcotest.bool "next document committed" true (contains "status 2 committed" reply);
+  check Alcotest.bool "counters" true (contains "counters offered=1 admitted=1" reply);
+  finish_accounting srv
+
+(* Hostile documents: unknown services and subsystems, reused pids, ids
+   the scheduler cannot pack, cyclic or dangling precedence, truncation
+   and random bytes.  Whatever arrives, nothing escapes [offer_text] or
+   [run], the shed accounting stays exact, and [drain] settles every
+   admitted process and seals the log, under every overload policy. *)
+let hostile_document rng =
+  let pick l = Tpm_sim.Prng.pick rng l in
+  let chance p = Tpm_sim.Prng.chance rng p in
+  let process () =
+    let pid =
+      if chance 0.1 then pick [ -1; max_int / 1_000_000; 1_000_000_000_000 ]
+      else 1 + Tpm_sim.Prng.int rng 6
+    in
+    let n = 1 + Tpm_sim.Prng.int rng 4 in
+    let act i = if chance 0.05 then pick [ 1_000_001; -3 ] else i in
+    let activity i =
+      Printf.sprintf "  %d %s %s @%s\n" (act i)
+        (if chance 0.15 then pick [ "svc11"; "nosuch"; "svc0_" ]
+         else Printf.sprintf "svc%d" (Tpm_sim.Prng.int rng 10))
+        (pick [ "compensatable"; "pivot"; "retriable" ])
+        (if chance 0.1 then pick [ "ss7"; "nowhere" ] else pick [ "ss0"; "ss1" ])
+    in
+    let edges =
+      List.init (n - 1) (fun i -> Printf.sprintf "  %d -> %d\n" (i + 1) (i + 2))
+      @ (if chance 0.1 then [ Printf.sprintf "  %d -> 1\n" n ] else [])
+      @ if chance 0.1 then [ "  1 -> 99\n" ] else []
+    in
+    Printf.sprintf "process %d {\n%s%s}\n" pid
+      (String.concat "" (List.init n (fun i -> activity (i + 1))))
+      (String.concat "" edges)
+  in
+  let text = String.concat "" (List.init (1 + Tpm_sim.Prng.int rng 3) (fun _ -> process ())) in
+  let len = String.length text in
+  if chance 0.1 then String.sub text 0 (Tpm_sim.Prng.int rng len)
+  else if chance 0.1 then
+    String.mapi (fun _ c -> if chance 0.05 then Char.chr (Tpm_sim.Prng.int rng 256) else c) text
+  else text
+
+let hostile_documents =
+  QCheck.Test.make ~name:"hostile documents never poison the server" ~count:60
+    (QCheck.make ~print:string_of_int (QCheck.Gen.int_bound 1_000_000))
+    (fun seed ->
+      let rng = Tpm_sim.Prng.create seed in
+      let docs = List.init (1 + Tpm_sim.Prng.int rng 5) (fun _ -> hostile_document rng) in
+      List.for_all
+        (fun policy ->
+          let srv = make_server ~policy ~max_live:3 ~queue_capacity:2 () in
+          let offered_ok =
+            List.for_all
+              (fun doc ->
+                ignore (Server.offer_text srv doc);
+                Server.run srv;
+                Server.accounting_ok srv)
+              docs
+          in
+          Server.drain srv;
+          let sched = Server.scheduler srv in
+          offered_ok && Server.accounting_ok srv
+          && Server.queue_depth srv = 0
+          && Scheduler.finished sched
+          && Wal.pending (Scheduler.wal sched) = 0)
+        [ Server.Reject; Server.Queue; Server.Degrade ])
+
 let suite =
   [
     Alcotest.test_case "sequential pivots skip 2PC" `Quick test_sequential_pivots_skip_2pc;
@@ -536,4 +643,7 @@ let suite =
     Alcotest.test_case "wire protocol" `Quick test_wire_protocol;
     Alcotest.test_case "wire protocol sheds out-of-range ids" `Quick
       test_wire_ids_out_of_range;
+    Alcotest.test_case "wire protocol sheds unknown services" `Quick test_wire_unknown_service;
+    Alcotest.test_case "wire protocol caps document size" `Quick test_wire_document_too_large;
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5eed |]) hostile_documents;
   ]

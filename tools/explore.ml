@@ -14,6 +14,7 @@
    - --bench-json FILE: append the P13 state-count record. *)
 
 module E = Tpm_explore.Explore
+module Record = Tpm_record.Record
 
 let usage () =
   print_string
@@ -126,21 +127,20 @@ let run_one o (sc : E.scenario) =
   r
 
 let bench_record name ~pruned (r : E.report) elapsed =
-  Printf.sprintf
-    "    {\"scenario\": %S, \"pruned\": %b, \"explored\": %d, \"pruned_symmetry\": %d, \
-     \"pruned_sleep\": %d, \"pruned_visited\": %d, \"max_depth\": %d, \"violations\": \
-     %d, \"wall_s\": %.3f}"
-    name pruned r.stats.explored r.stats.pruned_symmetry r.stats.pruned_sleep
-    r.stats.pruned_visited r.stats.max_depth (List.length r.found) elapsed
+  let open Record in
+  Obj
+    [
+      ("scenario", Str name); ("pruned", Bool pruned); ("explored", Int r.stats.explored);
+      ("pruned_symmetry", Int r.stats.pruned_symmetry); ("pruned_sleep", Int r.stats.pruned_sleep);
+      ("pruned_visited", Int r.stats.pruned_visited); ("max_depth", Int r.stats.max_depth);
+      ("violations", Int (List.length r.found)); ("cpu_s", num elapsed);
+    ]
 
-let write_bench path records =
-  let oc = open_out path in
-  Printf.fprintf oc
-    "{\n\
-    \  \"experiment\": \"P13 systematic interleaving exploration\",\n\
-    \  \"runs\": [\n%s\n  ]\n}\n"
-    (String.concat ",\n" records);
-  close_out oc;
+let write_bench o path records =
+  Record.write path ~title:"P13 systematic interleaving exploration" ~experiment:"P13"
+    ~harness:"tools/explore.exe" ~clock:Record.Cpu
+    ~knobs:(Record.Obj [ ("max_branches", Record.Int o.max_branches) ])
+    [ ("runs", Record.List records) ];
   Printf.printf "bench record written to %s\n" path
 
 let replay o file =
@@ -265,7 +265,7 @@ let () =
             end)
           names;
         (match o.bench_json with
-        | Some path -> write_bench path (List.rev !records)
+        | Some path -> write_bench o path (List.rev !records)
         | None -> ());
         let bad = !violating in
         exit (if o.expect_violation then if bad then 0 else 1 else if bad then 1 else 0)
