@@ -1,8 +1,10 @@
 (* P12: observability overhead.  The same P11 admission workload is run
    with tracing disabled, with the in-memory ring sink only, and with
    ring + JSONL file sink; each arm is repeated over many interleaved
-   rounds and the minimum wall time taken (the noise-robust estimator
-   for short runs: one run is about 10 ms).  The disabled arm
+   rounds.  An arm's overhead is the median over rounds of its wall time
+   divided by the disabled arm's in the same round: a load spike that
+   lands on one round moves one ratio, not the estimate, and the pairing
+   cancels slower drifts (one run is a few ms).  The disabled arm
    must be bit-identical to a pre-observability scheduler — every
    instrumentation site is guarded by [Obs.Tracer.active] — so its wall
    time is the honest baseline, and the ring arm's overhead is the price
@@ -12,9 +14,9 @@ open Harness
 
 type p12_arm = {
   a_label : string;
-  a_wall_s : float;  (* min over reps *)
+  a_wall_s : float;  (* median over reps *)
   a_events : int;  (* trace events emitted by one run *)
-  a_overhead : float;  (* a_wall_s / disabled wall - 1 *)
+  a_overhead : float;  (* median over reps of wall / same-round disabled wall, - 1 *)
 }
 
 let p12_params =
@@ -50,7 +52,7 @@ let p12_run ~n ~seed ~mk_tracer =
 
 let run ~quick ~json =
   section
-    "P12 — tracing overhead: disabled vs. ring sink vs. ring + JSONL (min of reps)";
+    "P12 — tracing overhead: disabled vs. ring sink vs. ring + JSONL (median of reps)";
   (* quick mode keeps the full batch size — the n=16 baseline is only a
      few milliseconds, too small to resolve a 10 % overhead against
      timer and GC noise — and economizes on rounds instead *)
@@ -72,10 +74,10 @@ let run ~quick ~json =
   (* interleave the arms round-robin so a transient load spike hits all
      of them alike, rotating which arm runs first so none always follows
      the same neighbour, and discard one warmup round so no arm pays the
-     one-time heap growth; per-arm minimum over the remaining rounds *)
+     one-time heap growth; every round's wall is kept for the pairing *)
   let arms = Array.of_list arms in
   let k = Array.length arms in
-  let walls = Array.make k infinity in
+  let walls = Array.make_matrix k reps 0.0 in
   let events = Array.make k 0 in
   Array.iter (fun (_, mk) -> ignore (p12_run ~n ~seed ~mk_tracer:mk)) arms;
   for r = 1 to reps do
@@ -83,33 +85,33 @@ let run ~quick ~json =
       let i = (r + j) mod k in
       let label, mk = arms.(i) in
       let w, e, m = p12_run ~n ~seed ~mk_tracer:mk in
-      if w < walls.(i) then walls.(i) <- w;
+      walls.(i).(r - 1) <- w;
       events.(i) <- e;
       if label = "ring" then snapshot := Some m
     done
   done;
-  let measured =
+  (try Sys.remove jsonl_path with Sys_error _ -> ());
+  let median a =
+    let a = Array.copy a in
+    Array.sort compare a;
+    let m = Array.length a / 2 in
+    if Array.length a mod 2 = 1 then a.(m) else (a.(m - 1) +. a.(m)) /. 2.0
+  in
+  let arms =
     List.mapi
       (fun i (label, _) ->
-        Printf.eprintf "  [p12] %s: min %.4fs over %d reps\n%!" label walls.(i) reps;
-        (label, walls.(i), events.(i)))
-      (Array.to_list arms)
-  in
-  (try Sys.remove jsonl_path with Sys_error _ -> ());
-  let base = match measured with (_, w, _) :: _ -> w | [] -> 1.0 in
-  let arms =
-    List.map
-      (fun (label, w, e) ->
+        let wall = median walls.(i) in
+        Printf.eprintf "  [p12] %s: median %.4fs over %d reps\n%!" label wall reps;
         {
           a_label = label;
-          a_wall_s = w;
-          a_events = e;
-          a_overhead = (w /. base) -. 1.0;
+          a_wall_s = wall;
+          a_events = events.(i);
+          a_overhead = median (Array.map2 ( /. ) walls.(i) walls.(0)) -. 1.0;
         })
-      measured
+      (Array.to_list arms)
   in
   print_table
-    [ "tracing"; "wall s (min)"; "events/run"; "overhead" ]
+    [ "tracing"; "wall s (median)"; "events/run"; "overhead" ]
     (List.map
        (fun a ->
          [

@@ -25,32 +25,22 @@ type t = {
   rev_exec_order : int list;  (* ids of [executed], most recent first *)
   pivots_done : Int_set.t;  (* non-compensatable activities ever committed *)
   choice : int Int_map.t;  (* choice point -> current alternative index *)
-  status : status;
+  phase : phase;
 }
+
+(* A running process carries its plan: the activities reachable under
+   [choice], set by [start] and [with_choice].  A finished one keeps none,
+   and its [Over] is a constant, so it allocates nothing. *)
+and phase =
+  | Live of Int_set.t Lazy.t
+  | Over of outcome
 
 exception Stuck of string
 
-let start proc =
-  {
-    proc;
-    rev_trace = [];
-    executed = Int_set.empty;
-    rev_exec_order = [];
-    pivots_done = Int_set.empty;
-    choice = Int_map.empty;
-    status = Running;
-  }
+let choice_index choice n = Option.value ~default:0 (Int_map.find_opt n choice)
 
-let proc s = s.proc
-let status s = s.status
-
-let recovery_state s = if Int_set.is_empty s.pivots_done then B_rec else F_rec
-
-let choice_index s n = Option.value ~default:0 (Int_map.find_opt n s.choice)
-
-(* Activities reachable under the current alternative selection. *)
-let plan s =
-  let p = s.proc in
+(* Activities reachable under the alternative selection [choice]. *)
+let reachable p choice =
   let rec grow frontier seen =
     match frontier with
     | [] -> seen
@@ -62,18 +52,45 @@ let plan s =
             match Process.alternatives p n with
             | [] -> Process.succs p n
             | alts ->
-                let i = min (choice_index s n) (List.length alts - 1) in
+                let i = min (choice_index choice n) (List.length alts - 1) in
                 List.nth alts i :: Process.unconditional_succs p n
           in
           grow (next @ rest) seen
   in
   grow (Process.roots p) Int_set.empty
 
+(* The one way [choice] changes after [start]: the plan is recomputed on
+   first use after a branch switch and shared by the steps until the next. *)
+let with_choice s choice = { s with choice; phase = Live (lazy (reachable s.proc choice)) }
+
+let start proc =
+  {
+    proc;
+    rev_trace = [];
+    executed = Int_set.empty;
+    rev_exec_order = [];
+    pivots_done = Int_set.empty;
+    choice = Int_map.empty;
+    phase = Live (lazy (reachable proc Int_map.empty));
+  }
+
+let proc s = s.proc
+let status s =
+  match s.phase with
+  | Live _ -> Running
+  | Over Committed -> Finished Committed
+  | Over Aborted -> Finished Aborted
+
+let recovery_state s = if Int_set.is_empty s.pivots_done then B_rec else F_rec
+
+let plan s = match s.phase with Live pl -> Lazy.force pl | Over _ -> Int_set.empty
+let choices s = Int_map.bindings s.choice
+
 let enabled s =
-  match s.status with
-  | Finished _ -> []
-  | Running ->
-      let pl = plan s in
+  match s.phase with
+  | Over _ -> []
+  | Live pl ->
+      let pl = Lazy.force pl in
       Int_set.elements pl
       |> List.filter (fun n ->
              (not (Int_set.mem n s.executed))
@@ -116,8 +133,7 @@ let compensate_set s set =
     s to_undo
 
 let full_backward_abort s =
-  let s = compensate_set s s.executed in
-  { s with status = Finished Aborted }
+  { (compensate_set s s.executed) with phase = Over Aborted }
 
 (* Choice points, nearest (deepest in ≪) first, that (1) are executed,
    (2) still have an untried lower-priority alternative, (3) lose [n] from
@@ -129,7 +145,7 @@ let find_backtrack_target s n =
     Process.choice_points p
     |> List.filter (fun cp ->
            Int_set.mem cp s.executed
-           && choice_index s cp < List.length (Process.alternatives p cp) - 1
+           && choice_index s.choice cp < List.length (Process.alternatives p cp) - 1
            && Process.before p cp n)
   in
   (* nearest first: cp2 before cp1 in the result if cp1 ≪ cp2 *)
@@ -143,7 +159,7 @@ let find_backtrack_target s n =
     in
     if not all_comp then None
     else
-      let switched = { s with choice = Int_map.add cp (choice_index s cp + 1) s.choice } in
+      let switched = with_choice s (Int_map.add cp (choice_index s.choice cp + 1) s.choice) in
       if Int_set.mem n (plan switched) then None else Some (cp, branch)
   in
   List.find_map viable nearest_first
@@ -158,11 +174,9 @@ let fail s n =
     | Some (cp, branch) ->
         let s = compensate_set s branch in
         (* abandoned choice points may be re-entered via the new branch *)
-        let choice =
-          Int_map.add cp (choice_index s cp + 1)
-            (Int_map.filter (fun m _ -> not (Int_set.mem m branch)) s.choice)
-        in
-        { s with choice }
+        with_choice s
+          (Int_map.add cp (choice_index s.choice cp + 1)
+             (Int_map.filter (fun m _ -> not (Int_set.mem m branch)) s.choice))
     | None ->
         if Int_set.is_empty s.pivots_done then full_backward_abort s
         else
@@ -172,13 +186,13 @@ let fail s n =
                   "activity %d failed after a state-determining activity with no alternative" n))
 
 let can_commit s =
-  match s.status with
-  | Finished _ -> false
-  | Running -> Int_set.for_all (fun n -> Int_set.mem n s.executed) (plan s)
+  match s.phase with
+  | Over _ -> false
+  | Live pl -> Int_set.for_all (fun n -> Int_set.mem n s.executed) (Lazy.force pl)
 
 let commit s =
   if not (can_commit s) then invalid_arg "Execution.commit: plan not fully executed";
-  { s with status = Finished Committed }
+  { s with phase = Over Committed }
 
 let state_determining_executed s =
   List.find_opt
@@ -208,7 +222,7 @@ let switch_to_safe_alternatives s =
              &&
              let alts = Process.alternatives p cp in
              let last = List.length alts - 1 in
-             choice_index s cp < last
+             choice_index s.choice cp < last
              &&
              (* current branch incomplete: some plan activity after cp not executed *)
              Int_set.exists
@@ -219,12 +233,12 @@ let switch_to_safe_alternatives s =
     | [] -> s
     | cp :: _ ->
         let alts = Process.alternatives p cp in
-        fixpoint { s with choice = Int_map.add cp (List.length alts - 1) s.choice }
+        fixpoint (with_choice s (Int_map.add cp (List.length alts - 1) s.choice))
   in
   fixpoint s
 
 let rec run_to_completion s =
-  if can_commit s then { s with status = Finished Committed }
+  if can_commit s then { s with phase = Over Committed }
   else
     match enabled s with
     | [] ->
@@ -238,7 +252,7 @@ let rec run_to_completion s =
         run_to_completion (exec s n)
 
 let abort s =
-  match s.status with
+  match status s with
   | Finished _ -> invalid_arg "Execution.abort: process already finished"
   | Running -> (
       match state_determining_executed s with
@@ -268,10 +282,10 @@ let adjust_choice_for s n =
     in
     if not branch_clear then None
     else
-      let choice =
-        Int_map.add cp j (Int_map.filter (fun m _ -> Int_set.mem m s.executed) s.choice)
+      let s' =
+        with_choice s
+          (Int_map.add cp j (Int_map.filter (fun m _ -> Int_set.mem m s.executed) s.choice))
       in
-      let s' = { s with choice } in
       if List.mem n (enabled s') then Some s' else None
   in
   Process.choice_points p
@@ -279,11 +293,11 @@ let adjust_choice_for s n =
   |> List.find_map (fun cp ->
          let alts = Process.alternatives p cp in
          List.find_map
-           (fun j -> if j = choice_index s cp then None else try_one cp j)
+           (fun j -> if j = choice_index s.choice cp then None else try_one cp j)
            (List.init (List.length alts) Fun.id))
 
 let replay_instance s inst =
-  match s.status with
+  match status s with
   | Finished _ -> Error "process already finished"
   | Running -> (
       let a = Activity.instance_base inst in
@@ -320,7 +334,7 @@ let effective_of_steps steps =
 let effective_trace s = effective_of_steps (trace s)
 
 let completion s =
-  match s.status with
+  match status s with
   | Finished _ -> []
   | Running ->
       let before = List.length s.rev_trace in
@@ -335,7 +349,7 @@ let pp_step fmt = function
 
 let pp fmt s =
   let status_str =
-    match s.status with
+    match status s with
     | Running -> "running"
     | Finished Committed -> "committed"
     | Finished Aborted -> "aborted"
@@ -357,14 +371,14 @@ let valid_executions ?(max_states = 100_000) p =
     else if can_commit s then add_trace (commit s)
     else
       match enabled s with
-      | [] -> ( match s.status with Finished _ -> add_trace s | Running -> ())
+      | [] -> ( match status s with Finished _ -> add_trace s | Running -> ())
       | ns ->
           List.iter
             (fun n ->
               explore (exec s n);
               if not (Activity.retriable (Process.find p n)) then
                 let s' = fail s n in
-                match s'.status with
+                match status s' with
                 | Finished _ -> add_trace s'
                 | Running -> explore s')
             ns

@@ -43,7 +43,15 @@ val recovery_state : t -> recovery_state
 
 val enabled : t -> int list
 (** Activities invocable now: on the current plan, not yet executed, all
-    plan-predecessors committed.  Empty when finished. *)
+    plan-predecessors committed.  Empty when finished.  The plan (the
+    activities reachable under the current alternatives) is kept per
+    {!choices}: computed on first use after a branch switch, shared by
+    every later step until the next one, and dropped once finished. *)
+
+val choices : t -> (int * int) list
+(** The current alternative index of each choice point that ever
+    switched, ascending by choice point; an absent one takes its first
+    alternative. *)
 
 val executed : t -> int list
 (** Currently committed (and not compensated) activities, in execution

@@ -1738,8 +1738,9 @@ let clear_inflight t ps =
 let rec wake t =
   if not !(t.crashed) then begin
     let changed = ref false in
-    let waiting : (int, int list) Hashtbl.t = Hashtbl.create 8 in
-    let delayed = ref [] in
+    (* reverse pass order; [None]: delayed, blockers built by the stall check *)
+    let waiting = ref [] in
+    let delays = ref 0 and parked = ref 0 in
     List.iter
       (fun ps ->
         (* the crash trigger may fire mid-iteration: once crashed, no
@@ -1752,7 +1753,7 @@ let rec wake t =
         | Deciding_2pc _ -> ()  (* the coordinator instance drives it *)
         | Blocked_2pc { act; token } ->
             let preds = Deps.uncommitted_preds t.deps pid in
-            if preds <> [] then Hashtbl.replace waiting pid preds
+            if preds <> [] then waiting := (ps, Some preds) :: !waiting
             else begin
               (* every conflicting predecessor committed: hand the prepared
                  activity to the crash-tolerant coordinator.  The commit is
@@ -1779,20 +1780,20 @@ let rec wake t =
             end
         | Awaiting_commit ->
             if try_commit t ps then changed := true
-            else Hashtbl.replace waiting pid (Deps.uncommitted_preds t.deps pid)
+            else waiting := (ps, Some (Deps.uncommitted_preds t.deps pid)) :: !waiting
         | Running ->
             if ps.inflight = None then begin
-              if Execution.can_commit ps.exec then begin
-                if try_commit t ps then changed := true
-              end
-              else if Wakeup.holds t.wakeup pid then begin
+              if Wakeup.holds t.wakeup pid then begin
                 (* parked and no witness moved: every enabled activity is
-                   still delayed, exactly what re-asking would answer *)
-                Metrics.incr t.metrics "admission_delays";
-                Metrics.incr t.metrics "admission_parked";
+                   still delayed, exactly what re-asking would answer, and
+                   [can_commit] is still false (DESIGN §8) *)
+                incr delays;
+                incr parked;
                 if t.cfg.admission_engine = Checked then ignore (delay_blockers t ps);
-                Hashtbl.replace waiting pid [];
-                delayed := ps :: !delayed
+                waiting := (ps, None) :: !waiting
+              end
+              else if Execution.can_commit ps.exec then begin
+                if try_commit t ps then changed := true
               end
               else begin
                 let enabled = Execution.enabled ps.exec in
@@ -1819,10 +1820,8 @@ let rec wake t =
                     changed := true
                 | None ->
                     if enabled <> [] then begin
-                      (* a placeholder: the stall check fills it in place *)
-                      Metrics.incr t.metrics "admission_delays";
-                      Hashtbl.replace waiting pid [];
-                      delayed := ps :: !delayed;
+                      incr delays;
+                      waiting := (ps, None) :: !waiting;
                       match !witness with
                       | Some w -> Wakeup.park t.wakeup pid ~witness:(List.sort_uniq compare w)
                       | None -> ()
@@ -1830,8 +1829,10 @@ let rec wake t =
               end
             end)
       (index t);
+    if !delays > 0 then Metrics.incr t.metrics "admission_delays" ~by:!delays;
+    if !parked > 0 then Metrics.incr t.metrics "admission_parked" ~by:!parked;
     if !changed then wake t
-    else if not !(t.crashed) then detect_stall t waiting ~delayed:!delayed
+    else if not !(t.crashed) then detect_stall t (List.rev !waiting)
   end
 
 (* The full wait-for blockers of a delayed waiter, re-derived with the
@@ -1842,6 +1843,8 @@ let rec wake t =
    stall check runs it for every waiter before choosing victims. *)
 and delay_blockers t ps =
   let pid = Process.pid ps.proc in
+  if Execution.can_commit ps.exec then
+    failwith (Printf.sprintf "missed wakeup: delayed P%d can commit" pid);
   List.concat_map
     (fun act ->
       let d =
@@ -1903,7 +1906,7 @@ and on_twopc_done t pid act ~commit =
    serialization order already contradicts the required commit order).
    Resolution: abort the youngest stalled process; its completion restores
    progress (guaranteed termination). *)
-and detect_stall t waiting ~delayed =
+and detect_stall t waiters =
   let ps_list = index t in
   let lives = List.filter live ps_list in
   let busy =
@@ -1917,12 +1920,15 @@ and detect_stall t waiting ~delayed =
          ps_list
   in
   if lives <> [] && not busy then begin
-    (* the delayed waiters get their full blockers now, in place: nothing
-       changed since the pass met them, so the wait-for graph (and the
-       victims) are those the pass would have built *)
+    (* the delayed waiters get their full blockers now: nothing changed
+       since the pass met them.  Pass order fixes the table's fold order,
+       which [Digraph.find_cycle], and so the victims, depend on *)
+    let waiting = Hashtbl.create 8 in
     List.iter
-      (fun ps -> Hashtbl.replace waiting (Process.pid ps.proc) (delay_blockers t ps))
-      delayed;
+      (fun (ps, blockers) ->
+        Hashtbl.replace waiting (Process.pid ps.proc)
+          (match blockers with Some bs -> bs | None -> delay_blockers t ps))
+      waiters;
     (* build the wait-for graph and abort one cycle jointly, so that the
        Lemma 2/3 ordering of Completed.completion_order applies across the
        knot; waiters outside the cycle resume once it clears *)
@@ -2664,6 +2670,8 @@ and finish_terminal t ps =
   (* set last: the explorer fingerprints the state at the crash choice
      inside [log], and a crash there finds the process not yet done *)
   ps.phase <- Done { outcome; rolled_back };
+  ps.future_cache <- None;
+  ps.completion_cache <- None;
   Metrics.observe t.metrics "latency" (now t -. ps.arrived)
 
 (* ------------------------------------------------------------------ *)

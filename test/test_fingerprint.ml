@@ -9,6 +9,8 @@
 module Scheduler = Tpm_scheduler.Scheduler
 module Generator = Tpm_workload.Generator
 module Local = Tpm_composite.Local
+module Obs = Tpm_obs.Obs
+module Prng = Tpm_sim.Prng
 
 let params =
   {
@@ -61,10 +63,10 @@ let golden_history =
     ("quasi", 21, "4cd38c1ee71e94d9512ddb36d5d8dd7a");
   ]
 
-let run ?(order = Scheduler.Strong) ~mode ~seed () =
+let run ?(order = Scheduler.Strong) ?tracer ~mode ~seed () =
   let config = { Scheduler.default_config with mode; seed; order } in
   let rms = Generator.rms params ~fail_prob:(fun _ -> 0.2) ~seed () in
-  let t = Scheduler.create ~config ~spec:(Generator.spec params) ~rms () in
+  let t = Scheduler.create ~config ?tracer ~spec:(Generator.spec params) ~rms () in
   let procs = Generator.batch ~seed:(seed * 100) params ~n:4 in
   List.iteri (fun i p -> Scheduler.submit t ~at:(0.4 *. float_of_int i) p) procs;
   Scheduler.run ~until:100000.0 t;
@@ -165,6 +167,78 @@ let test_naive_identity engine () =
         (run_naive ~engine ~density ~seed ()))
     golden_naive
 
+(* The wake loop's bookkeeping: admission and delay counts, parked
+   skips, stall aborts and the stall victims, on the strong goldens'
+   runs and on the churn workload of [tools/stress.ml --churn] at seed
+   69 (staggered submits with abort requests between slices), whose
+   cyclic base ends in five stall aborts under every mode. *)
+let golden_counters =
+  [
+    ("strong", "conservative", 7, "admissions=36|delays=44|parked=23|stalls=0|victims=");
+    ("strong", "conservative", 21, "admissions=40|delays=43|parked=21|stalls=0|victims=");
+    ("strong", "deferred", 7, "admissions=36|delays=44|parked=23|stalls=0|victims=");
+    ("strong", "deferred", 21, "admissions=36|delays=42|parked=24|stalls=0|victims=");
+    ("strong", "quasi", 7, "admissions=36|delays=44|parked=23|stalls=0|victims=");
+    ("strong", "quasi", 21, "admissions=36|delays=42|parked=24|stalls=0|victims=");
+    ("churn", "conservative", 69, "admissions=49|delays=81|parked=39|stalls=5|victims=stall-abort group [4,5];stall-abort group [6,7];stall-abort group [8]");
+    ("churn", "deferred", 69, "admissions=49|delays=81|parked=39|stalls=5|victims=stall-abort group [4,5];stall-abort group [6,7];stall-abort group [8]");
+    ("churn", "quasi", 69, "admissions=49|delays=81|parked=39|stalls=5|victims=stall-abort group [4,5];stall-abort group [6,7];stall-abort group [8]");
+  ]
+
+let churn_run ?tracer ~mode ~seed () =
+  let params = { Generator.default_params with services = 8; conflict_density = 0.4 } in
+  let rng = Prng.create ((seed * 31) + 17) in
+  let config = { Scheduler.default_config with mode; seed } in
+  let rms = Generator.rms params ~seed () in
+  let t = Scheduler.create ~config ?tracer ~spec:(Generator.spec params) ~rms () in
+  let n = 8 in
+  List.iteri
+    (fun i p -> Scheduler.submit t ~at:(0.6 *. float_of_int i) p)
+    (Generator.batch ~seed:(seed * 100) params ~n);
+  let span = 0.6 *. float_of_int n in
+  for k = 1 to 8 do
+    Scheduler.run ~until:(span *. float_of_int k /. 8.0) t;
+    if Prng.chance rng 0.5 then begin
+      let victim = 1 + Prng.int rng n in
+      if Scheduler.status t victim = Tpm_core.Schedule.Active then
+        Scheduler.request_abort t victim
+    end
+  done;
+  Scheduler.run ~until:100000.0 t;
+  t
+
+let counters workload mode_name seed =
+  let victims = ref [] in
+  let sink =
+    Obs.Sink.make (fun _ ev ->
+        match ev with
+        | Obs.Note s when String.starts_with ~prefix:"stall-abort" (Lazy.force s) ->
+            victims := Lazy.force s :: !victims
+        | _ -> ())
+  in
+  let tracer = Obs.Tracer.create ~ring_capacity:0 ~sinks:[ sink ] () in
+  let mode = mode_of mode_name in
+  let t =
+    match workload with
+    | "churn" -> churn_run ~tracer ~mode ~seed ()
+    | _ -> run ~tracer ~mode ~seed ()
+  in
+  let count k = Tpm_sim.Metrics.count (Scheduler.metrics t) k in
+  Printf.sprintf "admissions=%d|delays=%d|parked=%d|stalls=%d|victims=%s"
+    (count "admissions") (count "admission_delays") (count "admission_parked")
+    (count "stall_aborts")
+    (String.concat ";" (List.rev !victims))
+
+let test_counter_identity () =
+  List.iter
+    (fun (workload, mode_name, seed, expect) ->
+      Alcotest.check Alcotest.string
+        (Printf.sprintf "%s %s seed=%d counters and victims unchanged" workload mode_name
+           seed)
+        expect
+        (counters workload mode_name seed))
+    golden_counters
+
 let suite =
   [
     Alcotest.test_case "default-config runs match pre-PR fingerprints" `Quick test_bit_identity;
@@ -175,4 +249,6 @@ let suite =
       (test_naive_identity Scheduler.Incremental);
     Alcotest.test_case "naive-SR checked engine matches the same fingerprints" `Quick
       (test_naive_identity Scheduler.Checked);
+    Alcotest.test_case "wake counters and stall victims match recorded runs" `Quick
+      test_counter_identity;
   ]

@@ -10,7 +10,7 @@ lines that carry them are replaced by W.  Pass stdout only: the
 progress lines on stderr carry wall times."""
 import re, sys
 WALL = {"ns/run", "cpu ms/run", "ref mean us", "ref p95 us", "inc mean us", "inc p95 us",
-        "speedup", "wall s (min)", "overhead", "durable rec/s", "records/s", "vs each",
+        "speedup", "wall s (min)", "wall s (median)", "overhead", "durable rec/s", "records/s", "vs each",
         "mean us", "p95 us", "wall s", "procs/s", "ops/s", "recover s", "admissions/s"}
 lines = open(sys.argv[1]).read().split("\n")
 out, i, section = [], 0, ""
