@@ -127,15 +127,8 @@ let default_config =
 
 type phase =
   | Running
-  | Blocked_2pc of {
-      act : int;
-      token : int;
-    }
-  | Deciding_2pc of {
-      act : int;
-      token : int;
-      cid : int;
-    }
+  | Blocked_2pc of { act : int }
+  | Deciding_2pc of { act : int }
       (* a 2PC coordinator instance is deciding the prepared activity: the
          process's fate for this activity is in the protocol's hands (the
          commit decision may already be durable), so abort paths must not
@@ -747,11 +740,12 @@ let state_fingerprint t =
   let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
   List.iter
     (fun ps ->
-      add "P%d:" (Process.pid ps.proc);
+      let pid = Process.pid ps.proc in
+      add "P%d:" pid;
       (match ps.phase with
       | Running -> add "run"
-      | Blocked_2pc { act; token } -> add "b2pc(%d,%d)" act token
-      | Deciding_2pc { act; token; cid } -> add "d2pc(%d,%d,%d)" act token cid
+      | Blocked_2pc { act } -> add "b2pc(%d,%d)" act (activity_token ~pid ~act)
+      | Deciding_2pc { act } -> add "d2pc(%d,%d)" act (activity_token ~pid ~act)
       | Recovering _ -> add "rec"
       | Awaiting_commit -> add "await"
       | Done { outcome; _ } ->
@@ -1751,7 +1745,7 @@ let rec wake t =
         match ps.phase with
         | Done _ | Recovering _ -> ()
         | Deciding_2pc _ -> ()  (* the coordinator instance drives it *)
-        | Blocked_2pc { act; token } ->
+        | Blocked_2pc { act } ->
             let preds = Deps.uncommitted_preds t.deps pid in
             if preds <> [] then waiting := (ps, Some preds) :: !waiting
             else begin
@@ -1763,19 +1757,13 @@ let rec wake t =
               tracef t "2pc-start P%d a%d" pid act;
               (* enter the deciding phase before starting the instance:
                  under synchronous (fault-free) delivery [on_done] fires
-                 inside [start], and it must find the phase in place.  The
-                 instance id is patched in afterwards if still deciding. *)
+                 inside [start], and it must find the phase in place *)
               bump_pid t pid;
-              ps.phase <- Deciding_2pc { act; token; cid = 0 };
-              let cid =
-                Coordinator.start t.coord ~pid ~act
-                  ~participants:[ (rm_of t a, token) ]
-                  ~on_done:(fun ~commit -> on_twopc_done t pid act ~commit)
-              in
-              (match ps.phase with
-              | Deciding_2pc { act = act'; token = token'; cid = 0 } when act' = act ->
-                  ps.phase <- Deciding_2pc { act = act'; token = token'; cid }
-              | _ -> ());
+              ps.phase <- Deciding_2pc { act };
+              ignore
+                (Coordinator.start t.coord ~pid ~act ~rm:(rm_of t a)
+                   ~token:(activity_token ~pid ~act)
+                   ~on_done:(fun ~commit -> on_twopc_done t pid act ~commit));
               changed := true
             end
         | Awaiting_commit ->
@@ -2154,7 +2142,7 @@ and on_activity_done t pid act how =
               notify_subsys t rm ~ok:true;
               log t (Wal.Prepared { pid; act });
               bump_pid t pid;
-              ps.phase <- Blocked_2pc { act; token };
+              ps.phase <- Blocked_2pc { act };
               Metrics.incr t.metrics "prepared";
               if Obs.Tracer.active t.obs then
                 Obs.Tracer.emit t.obs (Obs.Prepared { pid; act });
@@ -2394,10 +2382,11 @@ and start_group_rollback t ~initiators =
 
 and abort_prepared_of t q =
   match q.phase with
-  | Blocked_2pc { act; token } ->
-      let a = Process.find q.proc act in
-      Rm.abort_prepared (rm_of t a) ~token;
-      log t (Wal.Prepared_decided { pid = Process.pid q.proc; act; commit = false });
+  | Blocked_2pc { act } ->
+      let pid = Process.pid q.proc in
+      let token = activity_token ~pid ~act in
+      Rm.abort_prepared (rm_of t (Process.find q.proc act)) ~token;
+      log t (Wal.Prepared_decided { pid; act; commit = false });
       Metrics.incr t.metrics "twopc_aborts";
       enf_fail t token
   | Deciding_2pc _ ->
@@ -2875,38 +2864,22 @@ let recover ?(config = default_config) ?(amnesia = false) ?tracer ?(groups = [])
     match List.assoc_opt pid groups with Some gs -> gs | None -> []
   in
   (* Coordinator amnesia: the coordinator's side of the log is declared
-     lost.  Strip its records and fall back to cooperative termination —
-     an in-doubt participant's instance commits iff some sibling resource
-     manager remembers the commit decision; only then is abort presumed.
-     A remembered commit is synthesized into the log as the participant's
-     own decided record so analysis treats it like a delivered decision. *)
-  let records, termination_commits =
-    if not amnesia then (records, [])
+     lost.  Strip its records: with one participant per instance no
+     sibling remembers a decision, so every in-doubt token is presumed
+     aborted — including one whose commit record was durable. *)
+  let records =
+    if not amnesia then records
     else
-      let commits =
-        List.concat_map
-          (fun rm ->
-            List.filter_map
-              (fun (token, cid) ->
-                if Coordinator.cooperative_decision ~rms ~cid then
-                  Some (token / 1_000_000, token mod 1_000_000)
-                else None)
-              (Rm.in_doubt rm))
-          rms
-        |> List.sort_uniq compare
-      in
-      ( List.filter
-          (function
-            | Wal.Coord_begin _ | Wal.Coord_committed _ | Wal.Coord_forgotten _ -> false
-            | _ -> true)
-          records
-        @ List.map (fun (pid, act) -> Wal.Prepared_decided { pid; act; commit = true }) commits,
-        commits )
+      List.filter
+        (function
+          | Wal.Coord_begin _ | Wal.Coord_committed _ | Wal.Coord_forgotten _ -> false
+          | _ -> true)
+        records
   in
   let on_step step =
     if Obs.Tracer.active obs then Obs.Tracer.emit obs (Obs.Recovery_step step)
   in
-  if amnesia then on_step "coordinator amnesia: cooperative termination";
+  if amnesia then on_step "coordinator amnesia: in-doubt tokens presumed aborted";
   match Recovery.analyze ~on_step ~procs records with
   | Error e -> Error e
   | Ok plan ->
@@ -2927,11 +2900,6 @@ let recover ?(config = default_config) ?(amnesia = false) ?tracer ?(groups = [])
             Metrics.incr t.metrics "twopc_aborts"
           end
       in
-      (* the cooperatively recovered commit decisions: already in the
-         analyzed log as the participant's decided records *)
-      List.iter
-        (fun (pid, act) -> Option.iter (fun proc -> settle proc act ~commit:true) (find_proc pid))
-        termination_commits;
       (* Resolve in-doubt prepared invocations.  Durably committed ones
          (the coordinator logged [Coord_committed] but the DECISION message
          was lost in the crash) are re-delivered: committed at their

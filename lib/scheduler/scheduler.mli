@@ -385,9 +385,9 @@ val recover :
     {!run} to finish recovery.
 
     [amnesia] declares the coordinator's log records lost: recovery then
-    ignores them and resolves in-doubt tokens by cooperative termination —
-    commit iff a sibling resource manager remembers the commit decision,
-    presumed abort otherwise. *)
+    ignores them.  A 2PC instance has one participant, so no sibling can
+    remember a decision: every in-doubt token is presumed aborted, even
+    one whose [Coord_committed] was durable. *)
 
 val activity_token : pid:int -> act:int -> int
 (** The deterministic subsystem token of an activity occurrence (stable

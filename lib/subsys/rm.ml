@@ -151,8 +151,6 @@ let mark_in_doubt rm ~token ~cid =
 let in_doubt rm =
   Hashtbl.fold (fun token cid acc -> (token, cid) :: acc) rm.indoubt [] |> List.sort compare
 
-let in_doubt_cid rm ~token = Hashtbl.find_opt rm.indoubt token
-
 let in_doubt_token rm ~cid =
   (* early exit: stop at the first match instead of folding the whole
      table (participants call this on every DECISION and inquiry tick) *)

@@ -111,13 +111,13 @@ val mark_in_doubt : t -> token:int -> cid:int -> unit
 val in_doubt : t -> (int * int) list
 (** All [(token, cid)] pairs currently in doubt, sorted. *)
 
-val in_doubt_cid : t -> token:int -> int option
 val in_doubt_token : t -> cid:int -> int option
 
 val record_decision : t -> cid:int -> commit:bool -> unit
 (** Remembers the decision applied for a coordinator instance, making
-    duplicate DECISION messages idempotent and letting sibling
-    participants answer cooperative-termination inquiries. *)
+    duplicate PREPARE and DECISION messages idempotent.  The instance's
+    one participant is the only holder of this memory, so coordinator
+    amnesia cannot consult it: in-doubt tokens are presumed aborted. *)
 
 val known_decision : t -> cid:int -> bool option
 

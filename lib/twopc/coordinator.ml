@@ -36,22 +36,20 @@ let pp_msg fmt = function
   | Ack { cid; rm } -> Format.fprintf fmt "ACK(c%d,%s)" cid rm
   | Inquiry { cid; rm } -> Format.fprintf fmt "INQUIRY(c%d,%s)" cid rm
 
-type part = {
-  p_name : string;
-  p_token : int;
-  mutable p_vote : bool option;
-  mutable p_acked : bool;
-}
-
 type phase =
   | Voting
-  | Deciding of bool  (* the decision, while acks are outstanding *)
+  | Deciding of bool  (* the decision, while the ack is outstanding *)
 
+(* One participant per instance: Lemma 1's 2PC runs between the
+   scheduler and the subsystem that holds the prepared activity.  Its
+   vote is the decision (yes commits), and its ack closes the instance,
+   so the phase alone records both. *)
 type instance = {
   i_cid : int;
   i_pid : int;
   i_act : int;
-  i_parts : part list;
+  i_rm : string;
+  i_token : int;
   i_started : float;
   mutable i_phase : phase;
   mutable i_durable : bool;
@@ -65,7 +63,6 @@ type instance = {
 }
 
 type t = {
-  name : string;
   sim : Des.t;
   bus : msg Bus.t;
   log : Wal.record -> unit;
@@ -78,43 +75,33 @@ type t = {
   mutable next_cid : int;
 }
 
+(* the coordinator's bus endpoint *)
+let endpoint = "coord"
+
 let mincr t name = match t.metrics with None -> () | Some m -> Metrics.incr m name
 
 let mobserve t name v =
   match t.metrics with None -> () | Some m -> Metrics.observe m name v
 
-let send t ~dst msg = Bus.send t.bus ~src:t.name ~dst msg
-
-let trace_retransmit t ~dst msg =
-  if Obs.Tracer.active t.tracer then
-    Obs.Tracer.emit t.tracer
-      (Obs.Msg
-         {
-           dir = Obs.Retransmit;
-           src = t.name;
-           dst;
-           payload = lazy (Format.asprintf "%a" pp_msg msg);
-         })
+let send t inst msg = Bus.send t.bus ~src:endpoint ~dst:inst.i_rm msg
 
 let retransmit t inst =
-  List.iter
-    (fun p ->
-      match inst.i_phase with
-      | Voting ->
-          if p.p_vote = None then begin
-            mincr t "msg_retransmits";
-            let msg = Prepare { cid = inst.i_cid; token = p.p_token } in
-            trace_retransmit t ~dst:p.p_name msg;
-            send t ~dst:p.p_name msg
-          end
-      | Deciding commit ->
-          if inst.i_durable && not p.p_acked then begin
-            mincr t "msg_retransmits";
-            let msg = Decision { cid = inst.i_cid; commit } in
-            trace_retransmit t ~dst:p.p_name msg;
-            send t ~dst:p.p_name msg
-          end)
-    inst.i_parts
+  let resend msg =
+    mincr t "msg_retransmits";
+    if Obs.Tracer.active t.tracer then
+      Obs.Tracer.emit t.tracer
+        (Obs.Msg
+           {
+             dir = Obs.Retransmit;
+             src = endpoint;
+             dst = inst.i_rm;
+             payload = lazy (Format.asprintf "%a" pp_msg msg);
+           });
+    send t inst msg
+  in
+  match inst.i_phase with
+  | Voting -> resend (Prepare { cid = inst.i_cid; token = inst.i_token })
+  | Deciding commit -> if inst.i_durable then resend (Decision { cid = inst.i_cid; commit })
 
 let rec arm_timer t inst =
   inst.i_cancel <-
@@ -127,7 +114,7 @@ let rec arm_timer t inst =
 let finish t inst commit =
   inst.i_cancel ();
   Hashtbl.remove t.instances inst.i_cid;
-  (* every participant has applied and acknowledged the decision: the
+  (* the participant has applied and acknowledged the decision: the
      instance needs no recovery attention any more *)
   t.log (Wal.Coord_forgotten { cid = inst.i_cid; pid = inst.i_pid });
   mobserve t "twopc_decide_latency" (Des.now t.sim -. inst.i_started);
@@ -135,71 +122,44 @@ let finish t inst commit =
 
 let decide t inst commit =
   (* presumed abort: only the commit decision is made durable — and it is
-     durable *before* any DECISION message leaves the coordinator.  The
+     durable *before* the DECISION message leaves the coordinator.  The
      phase flips to [Deciding] at once (late votes are no-ops), but under
-     group commit the messages wait in the continuation the WAL runs when
+     group commit the message waits in the continuation the WAL runs when
      the batch's fsync covers the record; until then [i_durable] keeps
      retransmission and inquiry replies silent. *)
   inst.i_phase <- Deciding commit;
   let deliver () =
     inst.i_durable <- true;
-    List.iter (fun p -> send t ~dst:p.p_name (Decision { cid = inst.i_cid; commit }))
-      inst.i_parts;
-    (* no participants: trivially complete, nothing to deliver or await *)
-    if inst.i_parts = [] then finish t inst commit
+    send t inst (Decision { cid = inst.i_cid; commit })
   in
   if commit then
     t.log_durable (Wal.Coord_committed { cid = inst.i_cid; pid = inst.i_pid }) deliver
   else deliver ()
 
-let on_vote t cid rm yes =
-  match Hashtbl.find_opt t.instances cid with
-  | None -> ()  (* late duplicate of a forgotten instance *)
-  | Some inst -> (
-      match inst.i_phase with
-      | Deciding _ -> ()  (* votes already counted; duplicates are no-ops *)
-      | Voting -> (
-          (match List.find_opt (fun p -> p.p_name = rm) inst.i_parts with
-          | Some p -> p.p_vote <- Some yes
-          | None -> ());
-          match List.filter_map (fun p -> p.p_vote) inst.i_parts with
-          | votes when List.length votes = List.length inst.i_parts ->
-              decide t inst (List.for_all Fun.id votes)
-          | _ -> ()))
-
-let on_ack t cid rm =
-  match Hashtbl.find_opt t.instances cid with
-  | None -> ()
-  | Some inst -> (
-      match inst.i_phase with
-      | Voting -> ()
-      | Deciding commit ->
-          (match List.find_opt (fun p -> p.p_name = rm) inst.i_parts with
-          | Some p -> p.p_acked <- true
-          | None -> ());
-          if List.for_all (fun p -> p.p_acked) inst.i_parts then finish t inst commit)
-
-let on_inquiry t cid rm =
-  match Hashtbl.find_opt t.instances cid with
-  | Some { i_phase = Deciding commit; i_durable = true; _ } ->
-      send t ~dst:rm (Decision { cid; commit })
-  | Some { i_phase = Deciding _; i_durable = false; _ } ->
-      ()  (* decision not yet durable: answering now could outrun its record *)
-  | Some { i_phase = Voting; _ } -> ()  (* still undecided; retransmission will drive it *)
-  | None ->
-      (* no durable trace of this instance: the presumed-abort answer *)
-      send t ~dst:rm (Decision { cid; commit = false })
-
 let handle t ~src:_ msg =
   if not (t.halted ()) then
     match msg with
-    | Vote { cid; rm; yes } -> on_vote t cid rm yes
-    | Ack { cid; rm } -> on_ack t cid rm
-    | Inquiry { cid; rm } -> on_inquiry t cid rm
+    | Vote { cid; yes; _ } -> (
+        match Hashtbl.find_opt t.instances cid with
+        | Some ({ i_phase = Voting; _ } as inst) -> decide t inst yes
+        | Some { i_phase = Deciding _; _ } | None ->
+            ()  (* duplicate vote, or a late one for a forgotten instance *))
+    | Ack { cid; _ } -> (
+        match Hashtbl.find_opt t.instances cid with
+        | Some ({ i_phase = Deciding commit; _ } as inst) -> finish t inst commit
+        | Some { i_phase = Voting; _ } | None -> ())
+    | Inquiry { cid; rm } -> (
+        let reply commit = Bus.send t.bus ~src:endpoint ~dst:rm (Decision { cid; commit }) in
+        match Hashtbl.find_opt t.instances cid with
+        | Some { i_phase = Deciding commit; i_durable = true; _ } -> reply commit
+        | Some { i_phase = Deciding _; i_durable = false; _ } ->
+            ()  (* decision not yet durable: answering now could outrun its record *)
+        | Some { i_phase = Voting; _ } -> ()  (* still undecided; retransmission will drive it *)
+        | None -> reply false  (* no durable trace of this instance: presumed abort *))
     | Prepare _ | Decision _ -> ()  (* participant-addressed; not for us *)
 
 let create ~sim ~bus ~log ?log_durable ?metrics ?(tracer = Obs.Tracer.disabled)
-    ?(retransmit_after = 1.0) ?(halted = fun () -> false) ?(name = "coord") () =
+    ?(retransmit_after = 1.0) ?(halted = fun () -> false) () =
   if retransmit_after <= 0.0 then
     invalid_arg "Coordinator.create: retransmit_after must be positive";
   let log_durable =
@@ -214,7 +174,6 @@ let create ~sim ~bus ~log ?log_durable ?metrics ?(tracer = Obs.Tracer.disabled)
   in
   let t =
     {
-      name;
       sim;
       bus;
       log;
@@ -227,12 +186,10 @@ let create ~sim ~bus ~log ?log_durable ?metrics ?(tracer = Obs.Tracer.disabled)
       next_cid = 1;
     }
   in
-  Bus.register bus name (handle t);
+  Bus.register bus endpoint (handle t);
   t
 
-let name t = t.name
 let open_instances t = Hashtbl.length t.instances
-let set_first_cid t cid = t.next_cid <- max t.next_cid cid
 
 let fingerprint t =
   let b = Buffer.create 64 in
@@ -240,36 +197,29 @@ let fingerprint t =
   Hashtbl.fold (fun cid inst acc -> (cid, inst) :: acc) t.instances []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
   |> List.iter (fun (cid, inst) ->
+         (* the participant's vote and ack: its vote is the decision, and
+            an acknowledged instance is already closed *)
+         let phase, vote =
+           match inst.i_phase with
+           | Voting -> ("V", "?")
+           | Deciding true -> ((if inst.i_durable then "DC" else "DCu"), "y")
+           | Deciding false -> ("DA", "n")
+         in
          Buffer.add_string b
-           (Printf.sprintf "|c%d:a_{%d_%d}:%s" cid inst.i_pid inst.i_act
-              (match inst.i_phase with
-              | Voting -> "V"
-              | Deciding true -> if inst.i_durable then "DC" else "DCu"
-              | Deciding false -> "DA"));
-         List.iter
-           (fun p ->
-             Buffer.add_string b
-               (Printf.sprintf ";%s%s%s" p.p_name
-                  (match p.p_vote with None -> "?" | Some true -> "y" | Some false -> "n")
-                  (if p.p_acked then "+" else "-")))
-           inst.i_parts);
+           (Printf.sprintf "|c%d:a_{%d_%d}:%s;%s%s-" cid inst.i_pid inst.i_act phase
+              inst.i_rm vote));
   Buffer.contents b
 
-let start t ~pid ~act ~participants ~on_done =
+let start t ~pid ~act ~rm ~token ~on_done =
   let cid = t.next_cid in
   t.next_cid <- cid + 1;
-  let parts =
-    List.map
-      (fun (rm, token) ->
-        { p_name = Rm.name rm; p_token = token; p_vote = None; p_acked = false })
-      participants
-  in
   let inst =
     {
       i_cid = cid;
       i_pid = pid;
       i_act = act;
-      i_parts = parts;
+      i_rm = Rm.name rm;
+      i_token = token;
       i_started = Des.now t.sim;
       i_phase = Voting;
       i_durable = false;
@@ -277,24 +227,14 @@ let start t ~pid ~act ~participants ~on_done =
       i_cancel = ignore;
     }
   in
-  t.log
-    (Wal.Coord_begin { cid; pid; act; parts = List.map (fun p -> p.p_name) parts });
+  t.log (Wal.Coord_begin { cid; pid; act; parts = [ inst.i_rm ] });
   Hashtbl.replace t.instances cid inst;
-  (match parts with
-  | [] ->
-      (* no participants: trivially committed; [decide]'s durable
-         continuation closes the instance out *)
-      decide t inst true
-  | _ ->
-      List.iter (fun p -> send t ~dst:p.p_name (Prepare { cid; token = p.p_token })) parts;
-      (* under synchronous (fault-free) delivery the whole round may have
-         completed inside the sends: only arm the retransmission timer for
-         an instance that is still open *)
-      if Hashtbl.mem t.instances cid then arm_timer t inst);
+  send t inst (Prepare { cid; token });
+  (* under synchronous (fault-free) delivery the whole round may have
+     completed inside the send: only arm the retransmission timer for an
+     instance that is still open *)
+  if Hashtbl.mem t.instances cid then arm_timer t inst;
   cid
-
-let cooperative_decision ~rms ~cid =
-  List.exists (fun rm -> Rm.known_decision rm ~cid = Some true) rms
 
 module Participant = struct
   let attach ~sim ~bus ~rm ?metrics ?inquiry_after

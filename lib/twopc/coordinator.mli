@@ -3,26 +3,27 @@
     This is the crash-tolerant form of the protocol Lemma 1 relies on:
     the commit of a non-compensatable (prepared) activity is driven by an
     explicit coordinator exchanging [PREPARE] / [VOTE] / [DECISION] /
-    [ACK] messages with the owning resource managers over an unreliable
-    {!Tpm_sim.Bus}, on the virtual clock.
+    [ACK] messages with the resource manager that holds the activity,
+    over an unreliable {!Tpm_sim.Bus}, on the virtual clock.  An instance
+    has exactly one participant: the activity's own subsystem.
 
     {b Presumed abort.}  The coordinator write-ahead-logs only three
     records: [Coord_begin] when an instance opens, [Coord_committed] when
-    all votes are yes — {e before} any DECISION message is sent — and
-    [Coord_forgotten] once every participant acknowledged.  Abort
+    the participant votes yes — {e before} the DECISION message is sent —
+    and [Coord_forgotten] once the participant acknowledged.  Abort
     decisions are never logged: recovery (and the coordinator answering
     an {!msg.Inquiry} for an unknown instance) presumes abort exactly
     when no commit record exists.
 
     {b Fault tolerance.}  Messages may be dropped, duplicated, delayed
     and reordered by the bus fault plan.  A per-instance retransmission
-    timer re-sends PREPARE to unvoted and DECISION to unacknowledged
-    participants; every handler is idempotent (duplicate votes, decisions
+    timer re-sends PREPARE while the vote is missing and DECISION while
+    the ack is; every handler is idempotent (duplicate votes, decisions
     and acks are absorbed), so the protocol terminates under any fault
-    plan that eventually delivers.  Participants that stay in doubt too
-    long re-inquire the coordinator (the termination protocol);
-    cooperative termination across sibling participants covers
-    coordinator amnesia during recovery ({!cooperative_decision}). *)
+    plan that eventually delivers.  A participant that stays in doubt too
+    long re-inquires the coordinator (the termination protocol).  Under
+    coordinator amnesia during recovery there is no sibling participant
+    to ask: in-doubt tokens are presumed aborted. *)
 
 type msg =
   | Prepare of {
@@ -60,10 +61,9 @@ val create :
   ?tracer:Tpm_obs.Obs.Tracer.t ->
   ?retransmit_after:float ->
   ?halted:(unit -> bool) ->
-  ?name:string ->
   unit ->
   t
-(** Registers the coordinator endpoint (default name ["coord"]) on the
+(** Registers the coordinator endpoint (named ["coord"]) on the
     bus.  [log] must append durably (it is the scheduler's WAL append).
     [log_durable record k] appends [record] and runs [k] once the record
     is actually durable — the group-commit scheduler passes a batching
@@ -80,38 +80,23 @@ val start :
   t ->
   pid:int ->
   act:int ->
-  participants:(Tpm_subsys.Rm.t * int) list ->
+  rm:Tpm_subsys.Rm.t ->
+  token:int ->
   on_done:(commit:bool -> unit) ->
   int
-(** Opens an instance for the prepared activity [(pid, act)] whose tokens
-    are held by the given resource managers, logs [Coord_begin], sends
-    PREPAREs and returns the instance id.  [on_done] fires (once) when
-    every participant has acknowledged the decision — for a commit, after
-    the activity's effects are durable at every participant.  An empty
-    participant list commits immediately. *)
+(** Opens an instance for the prepared activity [(pid, act)] whose token
+    [token] is held by its one participant [rm], logs [Coord_begin],
+    sends PREPARE and returns the instance id.  [on_done] fires (once)
+    when the participant has acknowledged the decision — for a commit,
+    after the activity's effects are durable at the participant. *)
 
-val name : t -> string
 val open_instances : t -> int
 
 val fingerprint : t -> string
 (** Canonical rendering of the coordinator's protocol state: every open
-    instance with its phase (voting / deciding), per-participant votes
-    and acknowledgements, plus the next instance id.  Part of the
+    instance with its phase (voting / deciding), its participant's vote
+    and acknowledgement, plus the next instance id.  Part of the
     explorer's state-deduplication key. *)
-
-val set_first_cid : t -> int -> unit
-(** Raises the next instance id (never lowers it): a recovered scheduler
-    skips the id range of the pre-crash coordinator so stale remembered
-    decisions cannot be confused with new instances. *)
-
-val cooperative_decision : rms:Tpm_subsys.Rm.t list -> cid:int -> bool
-(** Cooperative termination under coordinator amnesia: an in-doubt
-    participant's instance commits iff {e some} sibling resource manager
-    remembers a commit decision for [cid]; otherwise abort is presumed.
-    Sound because a commit decision reaches participants only after it
-    was durably logged, and complete up to the genuinely undecidable case
-    (no participant ever saw the decision), where presuming abort agrees
-    with every participant's subsequent behaviour. *)
 
 module Participant : sig
   val attach :

@@ -1,10 +1,12 @@
-(* The message-driven, durably-logged, presumed-abort 2PC coordinator:
-   fault-free record sequence (commit applied at every participant),
-   presumed abort on a refused vote (rolled back everywhere),
+(* The message-driven, durably-logged, presumed-abort 2PC coordinator
+   with its one participant per instance: fault-free record sequence
+   (commit applied at the participant), presumed abort on a refused vote
+   (no commit record),
    retransmission through loss, idempotence under duplication, the
    participant-side termination protocol, and the scheduler-level
    guarantee that a durable commit decision survives any crash or message
-   loss.  Also the idempotence of [Recovery.analyze] under
+   loss, while coordinator amnesia presumes it aborted.  Also the
+   idempotence of [Recovery.analyze] under
    duplicated/reordered [Prepared_decided] records. *)
 
 open Tpm_core
@@ -82,13 +84,11 @@ let world ?faults ?retransmit_after ?inquiry_after rms =
 (* coordinator: fault-free WAL record sequence, synchronous completion *)
 
 let test_fault_free_records () =
-  let rm1 = prepared_rm ~name:"db1" ~token:1 in
-  let rm2 = prepared_rm ~name:"db2" ~token:2 in
-  let w = world [ rm1; rm2 ] in
+  let rm = prepared_rm ~name:"db1" ~token:1 in
+  let w = world [ rm ] in
   let decision = ref None in
   let cid =
-    Coordinator.start w.coord ~pid:1 ~act:2
-      ~participants:[ (rm1, 1); (rm2, 2) ]
+    Coordinator.start w.coord ~pid:1 ~act:2 ~rm ~token:1
       ~on_done:(fun ~commit -> decision := Some commit)
   in
   (* a fault-free bus delivers synchronously: the round completed inside
@@ -101,7 +101,7 @@ let test_fault_free_records () =
    Wal.Coord_committed { cid = c2; pid = 1 };
    Wal.Coord_forgotten { cid = c3; pid = 1 };
   ] ->
-      check Alcotest.(list string) "participants logged" [ "db1"; "db2" ] parts;
+      check Alcotest.(list string) "participant logged" [ "db1" ] parts;
       check Alcotest.(list int) "one cid throughout" [ cid; cid ] [ c2; c3 ];
       check Alcotest.int "begin cid" cid c1
   | rs ->
@@ -109,28 +109,25 @@ let test_fault_free_records () =
         (Format.pp_print_list Wal.pp_record) rs);
   Des.run w.sim;
   check Alcotest.(float 0.0) "clock never moved" 0.0 (Des.now w.sim);
-  check value "rm1 committed" (Value.Int 1) (Store.get (Rm.store rm1) "n");
-  check value "rm2 committed" (Value.Int 1) (Store.get (Rm.store rm2) "n")
+  check value "committed at the participant" (Value.Int 1) (Store.get (Rm.store rm) "n")
 
 (* a refused vote: presumed abort — no commit record is ever written *)
 let test_fault_free_abort_unlogged () =
-  let rm1 = prepared_rm ~name:"db1" ~token:1 in
-  let rm2 = Rm.create ~name:"db2" ~registry:(counter_registry ()) () in
-  (* rm2 holds no prepared token: it votes no *)
-  let w = world [ rm1; rm2 ] in
+  let rm = prepared_rm ~name:"db1" ~token:1 in
+  let w = world [ rm ] in
   let decision = ref None in
+  (* the participant does not hold token 9: it votes no *)
   ignore
-    (Coordinator.start w.coord ~pid:1 ~act:2
-       ~participants:[ (rm1, 1); (rm2, 9) ]
+    (Coordinator.start w.coord ~pid:1 ~act:2 ~rm ~token:9
        ~on_done:(fun ~commit -> decision := Some commit));
   Des.run w.sim;
   check Alcotest.(option bool) "aborted" (Some false) !decision;
+  check Alcotest.int "no open instances" 0 (Coordinator.open_instances w.coord);
   check Alcotest.bool "no Coord_committed for an abort" true
     (List.for_all
        (function Wal.Coord_committed _ -> false | _ -> true)
        !(w.records));
-  check value "rm1 rolled back" Value.Nil (Store.get (Rm.store rm1) "n");
-  check Alcotest.(list int) "nothing prepared" [] (Rm.prepared_tokens rm1)
+  check Alcotest.bool "never in doubt" true (Rm.in_doubt rm = [])
 
 (* ------------------------------------------------------------------ *)
 (* retransmission drives the round through total early loss *)
@@ -148,7 +145,7 @@ let test_retransmit_through_loss () =
   let w = world ~faults [ rm ] in
   let decision = ref None in
   ignore
-    (Coordinator.start w.coord ~pid:1 ~act:2 ~participants:[ (rm, 1) ]
+    (Coordinator.start w.coord ~pid:1 ~act:2 ~rm ~token:1
        ~on_done:(fun ~commit -> decision := Some commit));
   Des.run w.sim;
   check Alcotest.(option bool) "committed despite loss" (Some true) !decision;
@@ -172,7 +169,7 @@ let test_duplicates_idempotent () =
   let w = world ~faults [ rm ] in
   let done_count = ref 0 in
   ignore
-    (Coordinator.start w.coord ~pid:1 ~act:2 ~participants:[ (rm, 1) ]
+    (Coordinator.start w.coord ~pid:1 ~act:2 ~rm ~token:1
        ~on_done:(fun ~commit ->
          incr done_count;
          check Alcotest.bool "committed" true commit));
@@ -207,7 +204,7 @@ let test_inquiry_pulls_decision () =
   let w = world ~faults ~retransmit_after:50.0 ~inquiry_after:1.0 [ rm ] in
   let decision = ref None in
   ignore
-    (Coordinator.start w.coord ~pid:1 ~act:2 ~participants:[ (rm, 1) ]
+    (Coordinator.start w.coord ~pid:1 ~act:2 ~rm ~token:1
        ~on_done:(fun ~commit -> decision := Some commit));
   Des.run w.sim;
   check Alcotest.(option bool) "committed" (Some true) !decision;
@@ -215,20 +212,6 @@ let test_inquiry_pulls_decision () =
   check Alcotest.bool "inquiries sent" true (Metrics.count w.metrics "msg_inquiries" >= 1);
   check Alcotest.bool "resolved via inquiry, not the 50-unit retransmission" true
     (Des.now w.sim < 10.0)
-
-(* cooperative termination: a sibling's memory of the decision *)
-let test_cooperative_decision () =
-  let rm1 = Rm.create ~name:"db1" ~registry:(counter_registry ()) () in
-  let rm2 = Rm.create ~name:"db2" ~registry:(counter_registry ()) () in
-  let rms = [ rm1; rm2 ] in
-  check Alcotest.bool "nobody remembers: presume abort" false
-    (Coordinator.cooperative_decision ~rms ~cid:7);
-  Rm.record_decision rm2 ~cid:7 ~commit:true;
-  check Alcotest.bool "a sibling saw the commit" true
-    (Coordinator.cooperative_decision ~rms ~cid:7);
-  Rm.record_decision rm1 ~cid:8 ~commit:false;
-  check Alcotest.bool "a remembered abort is not a commit" false
-    (Coordinator.cooperative_decision ~rms ~cid:8)
 
 (* ------------------------------------------------------------------ *)
 (* satellite: Rm.is_prepared agrees with the token table *)
@@ -319,11 +302,13 @@ let test_durable_commit_never_reversed () =
       check Alcotest.bool "never aborted" false (decided false)
 
 (* coordinator amnesia: recovery without the Coord_* records still
-   terminates every process cleanly (cooperative termination or presumed
-   abort), leaking no prepared token *)
+   terminates every process cleanly, leaking no prepared token.  The
+   instance's one participant never saw the decision, so no one
+   remembers the durable commit: the in-doubt activity is presumed
+   aborted, never committed *)
 let test_amnesia_recovery () =
   let t0, _, _ = sched_run () in
-  let k, _ = first_durable_commit (Scheduler.wal_records t0) in
+  let k, (pid, act) = first_durable_commit (Scheduler.wal_records t0) in
   let faults = Faults.make ~crash_after_appends:k () in
   let t, rms, procs = sched_run ~faults () in
   check Alcotest.bool "crashed" true (Scheduler.is_crashed t);
@@ -338,7 +323,17 @@ let test_amnesia_recovery () =
       check Alcotest.bool "legal" true (Schedule.legal (Scheduler.history t2));
       check Alcotest.bool "PRED" true (Criteria.pred (Scheduler.history t2));
       check Alcotest.bool "no leaked prepared token" true
-        (List.for_all (fun rm -> Rm.prepared_tokens rm = []) rms)
+        (List.for_all (fun rm -> Rm.prepared_tokens rm = []) rms);
+      let decided commit =
+        List.exists
+          (function
+            | Wal.Prepared_decided { pid = p; act = a; commit = c } ->
+                p = pid && a = act && c = commit
+            | _ -> false)
+          (Scheduler.wal_records t2)
+      in
+      check Alcotest.bool "presumed aborted" true (decided false);
+      check Alcotest.bool "never committed" false (decided true)
 
 (* ------------------------------------------------------------------ *)
 (* satellite: Recovery.analyze is idempotent under duplicated and
@@ -390,8 +385,6 @@ let suite =
     Alcotest.test_case "duplicated messages are idempotent" `Quick
       test_duplicates_idempotent;
     Alcotest.test_case "inquiry termination protocol" `Quick test_inquiry_pulls_decision;
-    Alcotest.test_case "cooperative termination decision" `Quick
-      test_cooperative_decision;
     Alcotest.test_case "Rm.is_prepared" `Quick test_is_prepared;
     Alcotest.test_case "durable commit never reversed by recovery" `Quick
       test_durable_commit_never_reversed;

@@ -2,8 +2,8 @@
 # Build everything, run the full test suite (includes the crash-point and
 # message-delivery sweeps), then a reduced randomized stress: outages,
 # message faults (loss/dup/reorder with the fault-free-twin store check),
-# and coordinator amnesia (cooperative termination).  Finally regenerate
-# the committed reference bench output.
+# and coordinator amnesia (in-doubt tokens presumed aborted).  Finally
+# regenerate the committed reference bench output.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -60,9 +60,10 @@ esac
 # misreads, zero oracle violations
 dune exec tools/crashsweep.exe -- --disk-only
 # amnesia sweep: crash after EVERY 2PC message delivery for every seed x
-# mode and recover without the coordinator's records (cooperative
-# termination); the full oracle suite minus presumed-abort soundness
-# against the crash image, which amnesia legitimately gives up
+# mode and recover without the coordinator's records (one participant
+# per instance: in-doubt tokens presumed aborted); the full oracle suite
+# minus presumed-abort soundness against the crash image, which amnesia
+# legitimately gives up
 dune exec tools/crashsweep.exe -- --amnesia-only
 # stress with the WAL on real disk under each sync policy; after each run
 # the on-disk log must load clean and match the in-memory record stream

@@ -189,8 +189,8 @@ let sweep ~seed ~mode_name ~mode =
   !failures
 
 (* Amnesia axis: crash after the k-th 2PC message delivery and recover
-   with the coordinator's records declared lost (cooperative
-   termination).  Judged by the full oracle suite except presumed-abort
+   with the coordinator's records declared lost (one participant per
+   instance, so in-doubt tokens are presumed aborted).  Judged by the full oracle suite except presumed-abort
    soundness against the crash image (see [recover_and_check]). *)
 let amnesia_sweep ~seed ~mode_name ~mode ~stride =
   let _, deliveries = baseline ~seed ~mode () in

@@ -5,9 +5,11 @@
    stores must additionally be identical to a fault-free run of the same
    seed: the 2PC retransmission and termination protocol may delay
    commits but never change outcomes.  With --amnesia each run is crashed
-   mid-log and recovered with the coordinator records declared lost
-   (cooperative termination).  Every failing combination prints a
-   one-line repro including the fault plan.
+   right after the first commit decision of its twin without message
+   faults (append 12 if that twin commits nothing through 2PC) and
+   recovered with the coordinator records declared lost: a 2PC instance
+   has one participant, so its in-doubt token is presumed aborted.  Every
+   failing combination prints a one-line repro including the fault plan.
 
    dune exec tools/stress.exe -- \
      --seeds 41-120 --modes deferred,quasi --fail-rates 0.1 --outages 0.2 \
@@ -123,8 +125,9 @@ let speclist =
        (default 0.0)" );
     ( "--amnesia",
       Arg.Set amnesia,
-      " crash each run mid-log and recover with the coordinator records \
-       declared lost (cooperative termination)" );
+      " crash each run right after its first 2PC commit decision (append 12 \
+       without one) and recover with the coordinator records declared lost: \
+       in-doubt tokens are presumed aborted" );
     ( "--check-admission",
       Arg.Set check_admission,
       " differential admission testing: run the incremental engine and the \
@@ -221,6 +224,21 @@ let mk_tracer () =
   if !trace_ring then Obs.Tracer.create ~ring_capacity:256 () else Obs.Tracer.disabled
 
 let dump_forensics sched = if !trace_ring then Scheduler.forensics Format.std_formatter sched
+
+(* The amnesia arm's crash point: right after the first [Coord_committed]
+   of a twin run under [faults] without the crash, so the crash strands
+   that decision's participant in doubt; append 12 when the twin decides
+   nothing through 2PC. *)
+let amnesia_crash_point ~config ~spec ~faults ~rms ~procs =
+  let t = Scheduler.create ~config ~faults ~spec ~rms () in
+  List.iteri (fun i p -> Scheduler.submit t ~at:(0.4 *. float_of_int i) p) procs;
+  Scheduler.run ~until:100000.0 t;
+  let rec first i = function
+    | [] -> 12
+    | Wal.Coord_committed _ :: _ -> i
+    | _ :: rest -> first (i + 1) rest
+  in
+  first 1 (Scheduler.wal_records t)
 
 (* --inject-failure: leak a prepared token at the first activity's
    subsystem, which the oracle must catch *)
@@ -581,6 +599,8 @@ let () =
   if !churn_mode then churn_stress ();
   let failures = ref 0 in
   let runs = ref 0 in
+  (* amnesia runs whose crash left a participant in doubt *)
+  let in_doubt_runs = ref 0 in
   List.iter
     (fun seed ->
       List.iter
@@ -622,8 +642,6 @@ let () =
                              else
                                Faults.uniform_msg_faults ~drop:msg_rate ~dup:msg_rate
                                  ~delay:0.5 ~horizon:!horizon ());
-                          crash_after_appends =
-                            (if !amnesia then Some 12 else base.Faults.crash_after_appends);
                         }
                       in
                       let spec = Generator.spec params in
@@ -654,6 +672,21 @@ let () =
                         Option.map (fun d -> Filename.concat d "wal.log") wal_dir
                       in
                       let procs = Generator.batch ~seed:(seed * 100) params ~n:!n_procs in
+                      let faults =
+                        if not !amnesia then faults
+                        else
+                          {
+                            faults with
+                            Faults.crash_after_appends =
+                              Some
+                                (amnesia_crash_point ~config ~spec ~faults:base
+                                   ~rms:
+                                     (Generator.rms params
+                                        ~fail_prob:(fun _ -> fail_rate)
+                                        ~seed ())
+                                   ~procs);
+                          }
+                      in
                       let t =
                         Scheduler.create ~config ~faults ~tracer:(mk_tracer ()) ~spec
                           ~rms ?wal_path ()
@@ -707,6 +740,8 @@ let () =
                            with the coordinator records declared lost and
                            judge the recovered scheduler instead *)
                         if !amnesia && Scheduler.is_crashed t then begin
+                          if List.exists (fun rm -> Rm.in_doubt rm <> []) rms then
+                            incr in_doubt_runs;
                           match
                             Scheduler.recover ~config ~amnesia:true
                               ~tracer:(mk_tracer ()) ~spec ~rms ~procs
@@ -757,5 +792,8 @@ let () =
             !fail_rates)
         !modes)
     !seeds;
+  if !amnesia then
+    Format.printf "stress --amnesia: %d of %d runs recovered an in-doubt token@."
+      !in_doubt_runs !runs;
   Format.printf "stress: %d runs, %d failures@." !runs !failures;
   exit (if !failures = 0 then 0 else 1)
